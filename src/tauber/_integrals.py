@@ -11,11 +11,16 @@ the elementary antiderivative
 
     A(x) = -exp(-z*x) * sum_{j=0..p} p!/(p-j)! * x^(p-j) / z^(j+1),
 
-and for non-integer p (only allowed without oscillation) it is an
-incomplete-gamma expression.  The implementation below shifts the interval
-to [0, hi-lo] and switches to a power series when |z|*(hi-lo) is small, so
-subtractive cancellation stays harmless across the parameter ranges the
-rest of the package uses.
+and for non-integer p (only allowed without oscillation) it is a
+difference of incomplete gamma functions (DLMF 8.2) for a decaying weight
+and of Kummer functions (DLMF 13.2) for a growing one.  Both paths avoid
+subtractive cancellation: the integer path shifts the interval to
+[0, hi-lo] and switches to a power series when |z|*(hi-lo) is small; the
+non-integer path differences upper incomplete gammas past the transition
+point s*lo = p+1 and sums a Taylor series about lo on narrow intervals.
+
+scipy.special is imported on first use by the non-integer path, and only
+there: integer powers and narrow intervals run on the standard library.
 """
 
 from __future__ import annotations
@@ -23,12 +28,14 @@ from __future__ import annotations
 import cmath
 import math
 
-from scipy.special import gammainc, gammaincc
+from .errors import DivergentTransform
 
 __all__ = ["power_exp_integral", "NonIntegrableTail"]
 
 # Switch point between the power series and the antiderivative formula.
 _SERIES_CUTOFF = 0.5
+# Largest (hi-lo)/lo for which non-integer powers expand about lo instead.
+_NARROW = 0.25
 
 
 class NonIntegrableTail(ArithmeticError):
@@ -91,35 +98,75 @@ def _integer_power_exp(p: int, z: complex, lo: float, hi: float) -> complex:
     return weight * inner
 
 
-def _real_power_exp(p: float, s: float, lo: float, hi: float) -> float:
-    """integral of x^p * exp(-s*x) dx over [lo, hi], real p > -1, s real."""
+def _narrow_power_exp(p: float, s: float, lo: float, hi: float) -> float:
+    """integral of x^p * exp(-s*x) dx over a narrow [lo, hi], lo > 0.
+
+    With x = lo*(1+v) the integral is lo^(p+1) exp(-s*lo) times the
+    integral of (1+v)^p exp(-s*lo*v) over [0, d], d = (hi-lo)/lo.  The
+    Taylor coefficients a_k of that integrand satisfy
+    (k+1) a_(k+1) = (p - s*lo - k) a_k - s*lo a_(k-1), and the series is
+    summed in the scaled terms a_k d^k, which decay at least like
+    _NARROW^k.  Nothing is differenced, so the result keeps full relative
+    precision however narrow the interval is.
+    """
+    d = (hi - lo) / lo
+    w = s * (hi - lo)
+    prev, cur = 0.0, 1.0  # a_(k-1) d^(k-1), a_k d^k
+    acc = 1.0
+    small = 0
+    for k in range(1, 200):
+        prev, cur = cur, ((d * (p - k + 1) - w) * cur - w * d * prev) / k
+        term = cur / (k + 1)
+        acc += term
+        small = small + 1 if abs(term) <= 1e-18 * abs(acc) else 0
+        if small == 2:
+            break
+    return math.exp((p + 1) * math.log(lo) - s * lo + math.log(d * acc))
+
+
+def _finite_real_power_exp(p: float, s: float, lo: float, hi: float) -> float:
+    """integral of x^p * exp(-s*x) dx over [lo, hi], hi finite."""
+    width = hi - lo
+    if width <= _NARROW * lo and abs(s) * width <= _SERIES_CUTOFF:
+        return _narrow_power_exp(p, s, lo, hi)
     if s == 0.0:
-        if math.isinf(hi):
-            raise NonIntegrableTail("polynomial tail does not converge")
         return (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
     if s < 0.0:
-        if math.isinf(hi):
-            raise NonIntegrableTail("growing tail does not converge")
-        # Reflect through u = hi - x to reuse the decaying branch termwise.
-        # Rare path (negative transform arguments on compact support); a
-        # direct series in s is simpler and adequate here.
-        acc = 0.0
-        coef = 1.0
-        for m in range(400):
-            term = coef * (hi ** (p + m + 1) - lo ** (p + m + 1)) / (p + m + 1)
-            acc += term
-            if abs(term) <= 1e-18 * abs(acc) + 1e-300:
-                break
-            coef *= -s / (m + 1)
-        else:
-            raise NonIntegrableTail("series for negative weight did not converge")
-        return acc
+        # Kummer form (DLMF 13.2): integral over [0, x] of t^p e^{c t} dt
+        # equals x^{p+1}/(p+1) * 1F1(p+1; p+2; c x) for c = -s > 0.
+        from scipy.special import hyp1f1
+
+        def kummer(x: float) -> float:
+            return x ** (p + 1) / (p + 1) * float(hyp1f1(p + 1, p + 2, -s * x))
+
+        return kummer(hi) - kummer(lo)
+    from scipy.special import gammainc, gammaincc
+
     scale = math.gamma(p + 1) / s ** (p + 1)
-    if math.isinf(hi):
-        return scale * float(gammaincc(p + 1, s * lo))
-    if lo == 0.0:
-        return scale * float(gammainc(p + 1, s * hi))
+    if s * lo >= p + 1:
+        # Past the transition point both lower functions are close to 1, so
+        # difference the upper ones instead (DLMF 8.2).
+        return scale * float(gammaincc(p + 1, s * lo) - gammaincc(p + 1, s * hi))
     return scale * float(gammainc(p + 1, s * hi) - gammainc(p + 1, s * lo))
+
+
+def _real_power_exp(p: float, s: float, lo: float, hi: float) -> float:
+    """integral of x^p * exp(-s*x) dx over [lo, hi], real p > -1, s real."""
+    if math.isinf(hi):
+        if s <= 0.0:
+            raise NonIntegrableTail("tail without decay does not converge")
+        from scipy.special import gammaincc
+
+        return math.gamma(p + 1) / s ** (p + 1) * float(gammaincc(p + 1, s * lo))
+    try:
+        value = _finite_real_power_exp(p, s, lo, hi)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DivergentTransform(
+            f"integral of x^{p} exp({-s} x) over [{lo}, {hi}] overflows a float"
+        )
+    return value
 
 
 def power_exp_integral(
@@ -129,7 +176,8 @@ def power_exp_integral(
 
     The caller takes .real for a cosine factor and .imag for a sine factor.
     Non-integer powers are only supported with freq == 0.  Raises
-    NonIntegrableTail when hi is infinite and the integral diverges.
+    NonIntegrableTail when hi is infinite and the integral diverges, and
+    DivergentTransform when a finite integral overflows a float.
     """
     if hi < lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")

@@ -36,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="override the sequence index ceiling for every check")
     runp.add_argument("--tol", type=float, default=None, metavar="X",
                       help="override the primary tolerance of checks that take one")
-    runp.add_argument("--threads", type=int, default=None, metavar="K",
-                      help="worker threads (default: TAUBER_THREADS or 1)")
     runp.add_argument("--quiet", action="store_true",
                       help="suppress per-check console output")
     return parser
@@ -52,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_scenario(scenario, n_max=args.n_max, tol=args.tol, threads=args.threads)
+    report = run_scenario(scenario, n_max=args.n_max, tol=args.tol)
     paths = emit(report, args.out, args.format)
     if not args.quiet:
         print(f"scenario: {report.scenario}")

@@ -33,10 +33,8 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -808,13 +806,12 @@ def run_scenario(
     scn: Scenario,
     n_max: int | None = None,
     tol: float | None = None,
-    threads: int | None = None,
 ) -> RunReport:
-    """Execute every check; errors are captured per check, never raised.
+    """Execute every check in declaration order; errors are captured per
+    check, never raised.
 
     n_max/tol override the scenario config and per-check `tol` parameters
-    (for checks that define one).  Thread count comes from TAUBER_THREADS
-    when not given; results are assembled in declaration order either way.
+    (for checks that define one).
     """
     config = dict(scn.config)
     if n_max is not None:
@@ -827,16 +824,8 @@ def run_scenario(
         if tol is not None and "tol" in _runner_tols(chk["check"]):
             chk["tol"] = float(tol)
         checks.append(chk)
-    if threads is None:
-        threads = int(os.environ.get("TAUBER_THREADS", "1") or "1")
-    threads = max(1, threads)
     scn_run = Scenario(scn.name, scn.measures, scn.sequences, checks, config)
-    if threads == 1:
-        outcomes = [_execute_one(scn_run, i, c) for i, c in enumerate(checks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_execute_one, scn_run, i, c) for i, c in enumerate(checks)]
-            outcomes = [f.result() for f in futures]
+    outcomes = [_execute_one(scn_run, i, c) for i, c in enumerate(checks)]
     return RunReport(scn.name, outcomes, config)
 
 

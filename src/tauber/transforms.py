@@ -15,7 +15,8 @@ computed per segment through three tiers:
    truncation point, the bounded part is integrated numerically in
    oscillation-sized chunks, and the reported error bound covers both.
 
-Tier 3 is the only inexact path and reports its error bound.
+Tier 3 is the only inexact path and reports its error bound.  It is also
+the only path that needs scipy.integrate, which `quad` imports on first use.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.integrate import quad
 
 from .decomposition import (
     PeriodicTail,
@@ -152,6 +151,13 @@ def _periodic_abs_integral(pt: PeriodicTail, lam: float) -> float:
 
 
 # -- certified-truncation quadrature ----------------------------------
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first quadrature-tier call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _truncation_point(seg: DensitySegment, lam: float, budget: float) -> float:

@@ -1,5 +1,5 @@
 """Scenario loading/validation, the check runners, report emission
-(JSON + CSV), exit codes, threading determinism, and the CLI wrapper."""
+(JSON + CSV), exit codes, and the CLI wrapper."""
 
 import json
 import math
@@ -257,16 +257,6 @@ def test_emit_writes_files(tmp_path):
     names = sorted(p.name for p in paths)
     assert names == ["tiny.csv", "tiny.json"]
     assert json.loads((tmp_path / "tiny.json").read_text())["scenario"] == "tiny"
-
-
-def test_threaded_run_is_byte_identical(monkeypatch):
-    doc = tiny_scenario()
-    serial = run_scenario(load_scenario(doc), threads=1).to_json()
-    threaded = run_scenario(load_scenario(doc), threads=4).to_json()
-    assert serial == threaded
-    monkeypatch.setenv("TAUBER_THREADS", "3")
-    env = run_scenario(load_scenario(doc)).to_json()
-    assert env == serial
 
 
 # ---------------------------------------------------------------------------
