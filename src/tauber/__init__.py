@@ -76,13 +76,13 @@ from .tauberian import (
 )
 from .transforms import (
     MembershipVerdict,
-    TransformEvaluator,
     TransformValue,
     abs_transform,
     abs_transform_value,
     check_membership,
     envelope_transform,
     laplace_transform,
+    quadrature_transform,
     tilt_identity_residual,
 )
 
@@ -99,7 +99,7 @@ __all__ = [
     "SignRun", "PeriodicTail", "eventual_sign", "sign_runs", "jordan",
     "total_variation", "certified_nonnegative", "periodic_tail_structure",
     # transforms
-    "TransformValue", "TransformEvaluator", "MembershipVerdict",
+    "TransformValue", "MembershipVerdict", "quadrature_transform",
     "laplace_transform", "abs_transform", "abs_transform_value",
     "envelope_transform", "check_membership", "tilt_identity_residual",
     # convergence

@@ -16,11 +16,15 @@ difference of incomplete gamma functions (DLMF 8.2) for a decaying weight
 and of Kummer functions (DLMF 13.2) for a growing one.  Both paths avoid
 subtractive cancellation: the integer path shifts the interval to
 [0, hi-lo] and switches to a power series when |z|*(hi-lo) is small; the
-non-integer path differences upper incomplete gammas past the transition
-point s*lo = p+1 and sums a Taylor series about lo on narrow intervals.
+non-integer path sums a positive series while s*hi <= p+1 (before the
+transition point) and a continued fraction once s*lo >= p+1 (past it),
+differences regularised lower gammas only across it, forms the gamma
+prefactor in log space, and sums a Taylor series about lo on narrow
+intervals.
 
 scipy.special is imported on first use by the non-integer path, and only
-there: integer powers and narrow intervals run on the standard library.
+there: integer powers, narrow intervals and intervals on one side of the
+transition point run on the standard library.
 """
 
 from __future__ import annotations
@@ -124,8 +128,84 @@ def _narrow_power_exp(p: float, s: float, lo: float, hi: float) -> float:
     return math.exp((p + 1) * math.log(lo) - s * lo + math.log(d * acc))
 
 
-def _finite_real_power_exp(p: float, s: float, lo: float, hi: float) -> float:
-    """integral of x^p * exp(-s*x) dx over [lo, hi], hi finite."""
+def _lower_gamma_series(a: float, z: float) -> float:
+    """gamma(a, z) * e^z / z^a, the lower incomplete gamma without its
+    prefactor, for 0 <= z <= a.
+
+    DLMF 8.7.1 (Kummer's transformation of 8.5.1): the sum of
+    z^k / (a (a+1) ... (a+k)).  Every term is positive and the ratio of
+    successive terms is below 1, so nothing cancels.
+    """
+    acc = term = 1.0 / a
+    k = 1
+    while term > 1e-17 * acc:
+        term *= z / (a + k)
+        acc += term
+        k += 1
+    return acc
+
+
+def _upper_gamma_fraction(a: float, z: float) -> float:
+    """Gamma(a, z) * e^z / z^a, the upper incomplete gamma without its
+    prefactor, for z >= a.
+
+    Legendre's continued fraction (DLMF 8.9.2),
+    1/(z+1-a- 1(1-a)/(z+3-a- 2(2-a)/(z+5-a- ...))), evaluated by the
+    modified Lentz method; past the transition point it converges fast.
+    """
+    tiny = 1e-300
+    b = z + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    frac = d
+    for i in range(1, 100_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        delta = d * c
+        frac *= delta
+        if abs(delta - 1.0) <= 1e-16:
+            break
+    return frac
+
+
+def _gamma_difference(p: float, s: float, lo: float, hi: float) -> float:
+    """integral of x^p * exp(-s*x) dx over [lo, hi] when [lo, hi] lies on
+    one side of the transition point s*x = p+1.
+
+    With u(x) = x^(p+1) e^(-s x), increasing before the transition point
+    and decreasing past it, the integral is
+
+        u(hi) * (S(hi) - u(lo)/u(hi) * S(lo))   before it, from gamma(a, .),
+        u(lo) * (S(lo) - u(hi)/u(lo) * S(hi))   past it, from Gamma(a, .),
+
+    with S the series or fraction above.  The ratio (at most 1) and the
+    product are formed in log space, so a large p, a tiny s or a far-out
+    interval neither overflows nor underflows an intermediate.
+    """
+    a = p + 1
+    if s * hi <= a:
+        near, far, series = hi, lo, _lower_gamma_series
+    else:
+        near, far, series = lo, hi, _upper_gamma_fraction
+    rest = series(a, s * near)
+    if far and math.isfinite(far):
+        # log(u(far) / u(near)), with log1p where far/near is close to 1
+        rel = (far - near) / near
+        log_rel = math.log1p(rel) if abs(rel) < 0.5 else math.log(far / near)
+        log_ratio = a * log_rel - s * (far - near)
+        rest -= math.exp(log_ratio) * series(a, s * far)
+    if rest <= 0.0:
+        return 0.0
+    return math.exp(a * math.log(near) - s * near + math.log(rest))
+
+
+def _real_power_exp_value(p: float, s: float, lo: float, hi: float) -> float:
+    """integral of x^p * exp(-s*x) dx over [lo, hi]; s > 0 if hi is infinite."""
     width = hi - lo
     if width <= _NARROW * lo and abs(s) * width <= _SERIES_CUTOFF:
         return _narrow_power_exp(p, s, lo, hi)
@@ -140,26 +220,28 @@ def _finite_real_power_exp(p: float, s: float, lo: float, hi: float) -> float:
             return x ** (p + 1) / (p + 1) * float(hyp1f1(p + 1, p + 2, -s * x))
 
         return kummer(hi) - kummer(lo)
+    # On one side of the transition point s*x = p+1 the regularised gammas
+    # underflow where Gamma(p+1)/s^(p+1) overflows, so go without them.
+    if s * hi <= p + 1 or s * lo >= p + 1:
+        return _gamma_difference(p, s, lo, hi)
     from scipy.special import gammainc, gammaincc
 
-    scale = math.gamma(p + 1) / s ** (p + 1)
-    if s * lo >= p + 1:
-        # Past the transition point both lower functions are close to 1, so
-        # difference the upper ones instead (DLMF 8.2).
-        return scale * float(gammaincc(p + 1, s * lo) - gammaincc(p + 1, s * hi))
-    return scale * float(gammainc(p + 1, s * hi) - gammainc(p + 1, s * lo))
+    # across it: Gamma(p+1)/s^(p+1) times a difference of regularised gammas
+    if math.isinf(hi):
+        share = float(gammaincc(p + 1, s * lo))
+    else:
+        share = float(gammainc(p + 1, s * hi) - gammainc(p + 1, s * lo))
+    if share <= 0.0:
+        return 0.0
+    return math.exp(math.lgamma(p + 1) - (p + 1) * math.log(s) + math.log(share))
 
 
 def _real_power_exp(p: float, s: float, lo: float, hi: float) -> float:
     """integral of x^p * exp(-s*x) dx over [lo, hi], real p > -1, s real."""
-    if math.isinf(hi):
-        if s <= 0.0:
-            raise NonIntegrableTail("tail without decay does not converge")
-        from scipy.special import gammaincc
-
-        return math.gamma(p + 1) / s ** (p + 1) * float(gammaincc(p + 1, s * lo))
+    if math.isinf(hi) and s <= 0.0:
+        raise NonIntegrableTail("tail without decay does not converge")
     try:
-        value = _finite_real_power_exp(p, s, lo, hi)
+        value = _real_power_exp_value(p, s, lo, hi)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

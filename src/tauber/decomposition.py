@@ -2,15 +2,26 @@
 
 The central primitive is sign-run isolation: split a segment into maximal
 subintervals of constant density sign.  On bounded intervals this is a
-frequency-aware sampling pass (enough samples per oscillation period)
-followed by bisection to isolate each crossing.  On unbounded intervals a
-crossing count can be infinite, so the tail needs a certificate: the
-dominant term group (slowest decay, then highest power) must have its
-non-oscillatory coefficient strictly exceed the joint amplitude of its
-oscillatory partners, with every remaining term bounded below half the
-margin from some point on.  When no such certificate exists (for example
-``exp(-x) * cos(x)`` or ``x * (1/2 + cos(x))``) the density changes sign
-on every tail window and `SignChangeIsolationFailure` is raised.
+frequency-aware sampling pass (8 samples per period of the top frequency,
+at least 1000) followed by bisection of each sign-change bracket to
+1e-12 relative.  Root pairs closer than a sample step fall between two
+samples and are missed.
+
+A segment with many brackets bisects them all together: each step
+evaluates every live midpoint in one numpy call (`_bisect_roots`), with
+the per-bracket rules and results of the scalar loop (`_bisect_root`).
+Each numpy step has a fixed cost of tens of microseconds, so below
+`ARRAY_BISECT_MIN` brackets, which covers the short windows of periodic
+tails and most scenario segments, the scalar loop is faster and is used.
+
+On unbounded intervals a crossing count can be infinite, so the tail
+needs a certificate: the dominant term group (slowest decay, then highest
+power) must have its non-oscillatory coefficient strictly exceed the
+joint amplitude of its oscillatory partners, with every remaining term
+bounded below half the margin from some point on.  When no such
+certificate exists (for example ``exp(-x) * cos(x)`` or
+``x * (1/2 + cos(x))``) the density changes sign on every tail window and
+`SignChangeIsolationFailure` is raised.
 
 Densities whose terms share one power and one decay and have commensurable
 frequencies still admit an exact treatment downstream: the sign pattern of
@@ -44,6 +55,14 @@ BASELINE_SAMPLES = 1000
 SAMPLES_PER_PERIOD = 8
 MAX_SAMPLES = 2_000_000
 BISECT_TOL = 1e-12
+# From this many brackets on, a segment's crossings are bisected together
+# (`_bisect_roots`); below it the scalar loop is faster, because each array
+# step pays numpy's fixed per-call cost (measured break-even: ~16 brackets).
+ARRAY_BISECT_MIN = 16
+# Relative to the envelope, the largest midpoint value whose array sign is
+# re-checked with the scalar `evaluate`; about 100 times the rounding
+# difference between the two sums.
+_SIGN_GUARD = 2.0 ** -40
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,6 +160,45 @@ def _bisect_root(expr: Expression, a: float, b: float, fa: float) -> float:
     return 0.5 * (a + b)
 
 
+def _bisect_roots(
+    expr: Expression, a: np.ndarray, b: np.ndarray, fa: np.ndarray
+) -> np.ndarray:
+    """`_bisect_root` on every bracket (a[i], b[i]) at once.
+
+    Each step evaluates the midpoints of all live brackets in one
+    `evaluate_array` call, and every bracket follows the scalar rules:
+    the same stop test, step cap and result.  The array sum can differ
+    from `evaluate` (math.fsum of the term values) in the last bits, so a
+    midpoint whose value is within `_SIGN_GUARD` times the envelope of
+    zero is re-evaluated with `evaluate` and takes the scalar branch,
+    exact-zero nudge included; the roots equal `_bisect_root`'s bit for
+    bit.  A double zero sets a = b = mid, which `0.5 * (a + b)` returns.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    up = np.asarray(fa) > 0
+    env = expr.envelope()
+    for _ in range(200):
+        live = np.flatnonzero(b - a > BISECT_TOL * np.maximum(1.0, np.abs(a)))
+        if live.size == 0:
+            break
+        al, bl = a[live], b[live]
+        mid = 0.5 * (al + bl)
+        fm = expr.evaluate_array(mid)
+        near_zero = ~(np.abs(fm) > _SIGN_GUARD * env.evaluate_array(mid))
+        for j in np.flatnonzero(near_zero):
+            m = float(mid[j])
+            fm[j] = expr.evaluate(m)
+            if fm[j] == 0.0:
+                fm[j] = expr.evaluate(m + 0.25 * (float(bl[j]) - float(al[j])) * 1e-3)
+                if fm[j] == 0.0:
+                    al[j] = bl[j] = m
+        same = (fm > 0) == up[live]
+        a[live] = np.where(same, mid, al)
+        b[live] = np.where(same, bl, mid)
+    return 0.5 * (a + b)
+
+
 def _isolate_bounded(lo: float, hi: float, expr: Expression) -> list[SignRun]:
     n = _sample_count(lo, hi, expr)
     xs = np.linspace(lo, hi, n + 1)
@@ -160,10 +218,12 @@ def _isolate_bounded(lo: float, hi: float, expr: Expression) -> list[SignRun]:
                 f"density evaluates to exactly zero on a sample grid in [{lo}, {hi}]"
             )
     signs = np.sign(vals).astype(int)
-    cuts: list[float] = []
-    flips = np.nonzero(signs[1:] != signs[:-1])[0]
-    for i in flips:
-        cuts.append(_bisect_root(expr, float(xs[i]), float(xs[i + 1]), float(vals[i])))
+    flips = np.flatnonzero(signs[1:] != signs[:-1])
+    if len(flips) < ARRAY_BISECT_MIN:
+        cuts = [_bisect_root(expr, float(xs[i]), float(xs[i + 1]), float(vals[i]))
+                for i in flips]
+    else:
+        cuts = _bisect_roots(expr, xs[flips], xs[flips + 1], vals[flips]).tolist()
     edges = [lo] + cuts + [hi]
     runs: list[SignRun] = []
     for i, (u, v) in enumerate(zip(edges, edges[1:])):
@@ -215,11 +275,12 @@ def jordan(measure: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
     pos_segs: list[DensitySegment] = []
     neg_segs: list[DensitySegment] = []
     for seg in measure.segments:
+        negated = -seg.density
         for run in sign_runs(seg):
             if run.sign > 0:
                 pos_segs.append(DensitySegment(run.lo, run.hi, seg.density))
             else:
-                neg_segs.append(DensitySegment(run.lo, run.hi, -seg.density))
+                neg_segs.append(DensitySegment(run.lo, run.hi, negated))
     return (
         SignedMeasure(tuple(pos_atoms), tuple(pos_segs)),
         SignedMeasure(tuple(neg_atoms), tuple(neg_segs)),

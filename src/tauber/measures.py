@@ -164,14 +164,20 @@ class Expression:
         xs = np.asarray(xs, dtype=float)
         out = np.zeros_like(xs)
         for t in self.terms:
-            if t.power == 0:
-                mono = np.ones_like(xs)
-            else:
-                mono = np.where(xs == 0.0, 0.0 if t.power > 0 else np.inf, 1.0)
+            # same operations in the same order as Term.value, minus the
+            # factors that are exactly 1.0 (power 0, decay 0)
+            part = t.coefficient
+            if t.power > 0:
+                part = part * xs ** t.power
+            elif t.power < 0:
+                # x^p is +inf at 0; power only the nonzero points so numpy
+                # raises no divide-by-zero warning
+                mono = np.full_like(xs, np.inf)
                 nz = xs != 0.0
-                mono = mono.copy()
                 mono[nz] = xs[nz] ** t.power
-            part = t.coefficient * mono * np.exp(-t.decay * xs)
+                part = part * mono
+            if t.decay:
+                part = part * np.exp(-t.decay * xs)
             if t.kind == "cos":
                 part = part * np.cos(t.freq * xs)
             elif t.kind == "sin":

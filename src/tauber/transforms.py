@@ -40,7 +40,7 @@ __all__ = [
     "abs_transform_value",
     "envelope_transform",
     "tilt_identity_residual",
-    "TransformEvaluator",
+    "quadrature_transform",
     "MembershipVerdict",
     "check_membership",
 ]
@@ -206,7 +206,7 @@ def _quad_abs_segment(
 def _quad_signed_segment(
     seg: DensitySegment, lam: float, abs_tol: float
 ) -> tuple[float, float]:
-    """Term-wise quadrature of density * exp(-lam x) (cross-check backend)."""
+    """Term-wise quadrature of density * exp(-lam x), for `quadrature_transform`."""
     if seg.unbounded:
         hi = _truncation_point(seg, lam, 0.5 * abs_tol)
         tail_err = seg.density.envelope().integral(hi, math.inf, extra_decay=lam)
@@ -327,54 +327,24 @@ def check_membership(measure: SignedMeasure) -> MembershipVerdict:
     return MembershipVerdict("member", detail)
 
 
-# -- cached evaluator ----------------------------------------------------
+# -- quadrature cross-check ----------------------------------------------
 
 
-class TransformEvaluator:
-    """Cached transform evaluation for one measure.
+def quadrature_transform(
+    measure: SignedMeasure, lam: float, abs_tol: float = DEFAULT_ABS_TOL
+) -> TransformValue:
+    """Signed transform at lam by term-wise quadrature, with its error bound.
 
-    backend "closed_form" uses the exact engine; "quadrature" integrates
-    numerically with certified truncation (useful as an independent
-    cross-check of the closed forms).  The total-variation transform is
-    shared by both backends (its tiering already mixes exact and numeric).
+    An independent cross-check of `laplace_transform`'s closed forms;
+    unbounded segments are truncated where the envelope tail is below
+    abs_tol/2, and that tail is part of the bound.
     """
-
-    def __init__(
-        self,
-        measure: SignedMeasure,
-        backend: str = "closed_form",
-        abs_tol: float = DEFAULT_ABS_TOL,
-    ) -> None:
-        if backend not in ("closed_form", "quadrature"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.measure = measure
-        self.backend = backend
-        self.abs_tol = abs_tol
-        self.membership = check_membership(measure)
-        self._cache: dict[tuple[str, float], TransformValue] = {}
-
-    def transform(self, lam: float) -> TransformValue:
-        lam = float(lam)
-        key = ("psi", lam)
-        if key not in self._cache:
-            if self.backend == "closed_form":
-                self._cache[key] = TransformValue(laplace_transform(self.measure, lam), 0.0)
-            else:
-                _check_convergent(self.measure, lam)
-                value = math.fsum(
-                    a.weight * math.exp(-lam * a.location) for a in self.measure.atoms
-                )
-                err = 0.0
-                for seg in self.measure.segments:
-                    v, e = _quad_signed_segment(seg, lam, self.abs_tol)
-                    value += v
-                    err += e
-                self._cache[key] = TransformValue(value, err)
-        return self._cache[key]
-
-    def abs(self, lam: float) -> TransformValue:
-        lam = float(lam)
-        key = ("abs", lam)
-        if key not in self._cache:
-            self._cache[key] = abs_transform(self.measure, lam, abs_tol=self.abs_tol)
-        return self._cache[key]
+    lam = float(lam)
+    _check_convergent(measure, lam)
+    value = math.fsum(a.weight * math.exp(-lam * a.location) for a in measure.atoms)
+    err = 0.0
+    for seg in measure.segments:
+        v, e = _quad_signed_segment(seg, lam, abs_tol)
+        value += v
+        err += e
+    return TransformValue(value, err)

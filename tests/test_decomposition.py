@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauber import (
     DensitySegment,
@@ -19,6 +21,8 @@ from tauber import (
     sign_runs,
     total_variation,
 )
+from tauber import decomposition
+from tauber.decomposition import _bisect_root, _bisect_roots
 from tests.conftest import N_PROPERTY_CASES, random_measure
 
 PI = math.pi
@@ -60,6 +64,127 @@ def test_sign_runs_tangency_does_not_flip():
                          Expression((Term(1.0, 0.0, 0.0, "cos", 1.0), Term(1.0))))
     runs = sign_runs(seg)
     assert all(r.sign == 1 for r in runs)
+
+
+# ---------------------------------------------------------------------------
+# batched bisection against the scalar reference
+# ---------------------------------------------------------------------------
+
+def cosine_density(c_ratio, amp, freq, phase):
+    """c + amp*cos(freq*x + phase) with c = c_ratio*amp, as three terms."""
+    return Expression((
+        Term(c_ratio * amp),
+        Term(amp * math.cos(phase), 0.0, 0.0, "cos", freq),
+        Term(-amp * math.sin(phase), 0.0, 0.0, "sin", freq),
+    ))
+
+
+def grid_brackets(expr, lo, hi, cells):
+    """Sign-change brackets (a, b, f(a)) of expr on a uniform grid."""
+    xs = np.linspace(lo, hi, cells + 1)
+    vals = expr.evaluate_array(xs)
+    i = np.flatnonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))
+    return xs[i], xs[i + 1], vals[i]
+
+
+def assert_batched_equals_scalar(expr, a, b, fa):
+    want = [_bisect_root(expr, float(u), float(v), float(f)) for u, v, f in zip(a, b, fa)]
+    assert _bisect_roots(expr, a, b, fa).tolist() == want
+
+
+@given(
+    c_ratio=st.floats(-0.9, 0.9),
+    amp=st.floats(0.1, 10.0),
+    freq=st.floats(0.05, 50.0),
+    phase=st.floats(0.0, 2 * PI),
+    lo=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+    count=st.one_of(st.integers(1, 40), st.integers(500, 600)),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_bisection_is_bitwise_scalar_on_cosines(c_ratio, amp, freq, phase, lo, count):
+    # two roots per period, at least 0.14 periods apart: 16 cells per
+    # period bracket each one
+    expr = cosine_density(c_ratio, amp, freq, phase)
+    periods = count // 2 + 2
+    a, b, fa = grid_brackets(expr, lo, lo + periods * 2 * PI / freq, 16 * periods)
+    assert len(a) >= count
+    assert_batched_equals_scalar(expr, a[:count], b[:count], fa[:count])
+
+
+term_strategy = st.builds(
+    Term,
+    coefficient=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+    power=st.integers(0, 3).map(float),
+    decay=st.just(0.0) | st.floats(0.0, 0.05),
+    kind=st.sampled_from(["cos", "sin"]),
+    freq=st.floats(0.3, 20.0),
+)
+
+
+@given(
+    osc=st.lists(term_strategy, min_size=1, max_size=3),
+    plain=st.floats(-3.0, 3.0),
+    lo=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+    width=st.floats(1.0, 200.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_bisection_is_bitwise_scalar_on_term_mixes(osc, plain, lo, width):
+    expr = Expression((Term(plain, 1.0),) + tuple(osc))
+    a, b, fa = grid_brackets(expr, lo, lo + width, 8000)
+    assert_batched_equals_scalar(expr, a, b, fa)
+
+
+class ScriptedLine:
+    """f(x) = x - root, except at scripted points: `zeros` evaluate to 0.0
+    on both paths, and at `flipped` points the array path returns the
+    opposite sign, as a last-bit difference between the two sums can."""
+
+    def __init__(self, root, zeros=(), flipped=()):
+        self.root, self.zeros, self.flipped = root, set(zeros), set(flipped)
+
+    def evaluate(self, x):
+        return 0.0 if x in self.zeros else x - self.root
+
+    def evaluate_array(self, xs):
+        return np.array([-self.evaluate(x) if x in self.flipped else self.evaluate(x)
+                         for x in xs.tolist()])
+
+    def envelope(self):
+        return Expression((Term(1.0),))
+
+
+NUDGED = 0.75 + 0.25 * (1.0 - 0.5) * 1e-3  # first midpoint of (0.5, 1), nudged
+
+
+@pytest.mark.parametrize("line", [
+    ScriptedLine(0.8, zeros=[0.75]),  # exact zero, nudge resolves it
+    ScriptedLine(0.8, zeros=[0.75, NUDGED]),  # double zero: the midpoint is the root
+    ScriptedLine(0.625 + 1e-13, flipped=[0.625]),  # signs disagree near the root
+], ids=["zero", "double-zero", "flipped-sign"])
+def test_batched_bisection_takes_the_scalar_branches(line):
+    a = np.array([0.5, 0.6, 0.1, 0.5])
+    b = np.array([1.0, 0.9, 0.9, 1.0])
+    fa = np.array([line.evaluate(x) for x in a])
+    assert_batched_equals_scalar(line, a, b, fa)
+    if len(line.zeros) == 2:
+        assert _bisect_roots(line, a[:1], b[:1], fa[:1]).tolist() == [0.75]
+
+
+def test_sign_runs_agree_on_both_sides_of_the_bracket_constant(monkeypatch, rng):
+    segments = [
+        DensitySegment(lo, lo + periods * 2 * PI / 3.0,
+                       cosine_density(0.4, 1.5, 3.0, 0.3))
+        for lo, periods in ((0.0, 2), (7.5, 20), (400.0, 300))
+    ]
+    segments += [s for _ in range(20) for s in random_measure(rng).segments]
+    for seg in segments:
+        monkeypatch.setattr(decomposition, "ARRAY_BISECT_MIN", 1)
+        try:
+            batched = sign_runs(seg)
+        except SignChangeIsolationFailure:
+            continue
+        monkeypatch.setattr(decomposition, "ARRAY_BISECT_MIN", 10**9)
+        assert sign_runs(seg) == batched
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ oracle evaluates the exact antiderivatives at 60 digits:
 mp.quad is never the reference; it is unreliable on tiny values.
 """
 
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,26 @@ def test_float_overflow_is_a_divergent_transform():
     assert_matches_oracle(0.5, -0.5, 100.0, 3000.0)
 
 
+@pytest.mark.parametrize("p,s,lo,hi,want", [
+    # s^(p+1) underflows to 0 and Gamma(p+1) overflows; the integrals do not
+    (0.5, 1e-300, 0.0, 1.0, 2.0 / 3.0),
+    (180.5, 1.0, 0.0, 1.0, 2.0380510410968618e-3),
+    (0.25, 1e-200, 3.0, 50.0, None),
+    (180.5, 100.0, 0.0, 10.0, None),
+    # far past the transition point the regularised gamma underflows
+    (48.5, 1.0, 1000.0, 1001.0, None),
+    (180.5, 1.0, 2000.0, 3000.0, None),
+    (180.5, 1.0, 2000.0, math.inf, None),
+    # Gamma(p+1)/s^(p+1) itself overflows a float
+    (180.5, 1.0, 0.0, math.inf, None),
+    (0.5, 1e-300, 0.0, math.inf, None),
+])
+def test_extreme_power_or_decay_is_exact_or_divergent(p, s, lo, hi, want):
+    if want is not None:
+        assert power_exp_integral(p, s, 0.0, lo, hi).real == pytest.approx(want, rel=1e-15)
+    assert_matches_oracle(p, s, lo, hi)
+
+
 @pytest.mark.parametrize("nudge", [1 - 1e-12, 1.0, 1 + 1e-12])
 @pytest.mark.parametrize("knob,p,s,lo,hi", [
     # (hi - lo) / lo at the narrow-interval switch
@@ -115,6 +137,20 @@ def magnitudes(lo_exp, hi_exp):
 )
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_exact_oracle(p, s, lo, width):
+    hi = lo + width
+    assume(hi > lo)
+    assume(abs(exact(p, s, lo, hi)) >= 1e-290)  # skip subnormal results
+    assert_matches_oracle(p, s, lo, hi)
+
+
+@given(
+    p=st.floats(8.0, 400.0).filter(lambda p: not p.is_integer()),
+    s=magnitudes(-300, 2),
+    lo=st.one_of(st.just(0.0), magnitudes(-4, 5)),
+    width=magnitudes(-6, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_exact_oracle_at_large_powers(p, s, lo, width):
     hi = lo + width
     assume(hi > lo)
     assume(abs(exact(p, s, lo, hi)) >= 1e-290)  # skip subnormal results

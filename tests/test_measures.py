@@ -69,6 +69,17 @@ def test_expression_evaluate_matches_direct_formula():
                                             - math.sin(7.4), rel=1e-13)
 
 
+def test_expression_evaluate_array_at_zero_without_warnings():
+    xs = np.array([0.0, 0.5, 2.0])
+    with np.errstate(all="raise"):
+        assert Expression((Term(2.0, 1.5, 0.3),)).evaluate_array(xs)[0] == 0.0
+        assert Expression((Term(2.0, 0.0, 0.3),)).evaluate_array(xs)[0] == 2.0
+        assert Expression((Term(-2.0),)).evaluate_array(xs).tolist() == [-2.0] * 3
+        assert Expression((Term(2.0, -0.5, 0.3),)).evaluate_array(xs)[0] == math.inf
+        assert Expression((Term(-2.0, -0.5),)).evaluate_array(xs)[0] == -math.inf
+        assert Expression((Term(1.0, 2.0, 0.0, "sin", 3.0),)).evaluate_array(xs)[0] == 0.0
+
+
 @given(st.floats(0.1, 3.0), st.integers(0, 3), st.floats(0.0, 2.0))
 @settings(max_examples=60, deadline=None)
 def test_expression_scale_then_evaluate_consistent(c, k, a):

@@ -27,12 +27,12 @@ from tauber import (
     Expression,
     SignedMeasure,
     Term,
-    TransformEvaluator,
     abs_transform,
     abs_transform_value,
     check_membership,
     envelope_transform,
     laplace_transform,
+    quadrature_transform,
     tilt_identity_residual,
     total_variation,
 )
@@ -136,12 +136,10 @@ def test_transform_at_zero_is_total_mass_when_damped():
 def test_transform_quadrature_backend_agrees(rng):
     for _ in range(25):
         m = random_measure(rng)
-        exact = TransformEvaluator(m)
-        quad = TransformEvaluator(m, backend="quadrature")
         for lam in (0.3, 1.0, 2.7):
-            a, b = exact.transform(lam), quad.transform(lam)
-            assert b.value == pytest.approx(a.value, rel=1e-7, abs=1e-9)
-            assert b.error_bound < 1e-7 * max(1.0, abs(a.value))
+            a, b = laplace_transform(m, lam), quadrature_transform(m, lam)
+            assert b.value == pytest.approx(a, rel=1e-7, abs=1e-9)
+            assert b.error_bound < 1e-7 * max(1.0, abs(a))
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +247,10 @@ def test_tilt_semigroup(rng):
 
 
 # ---------------------------------------------------------------------------
-# membership + evaluator plumbing
+# membership screening
 # ---------------------------------------------------------------------------
 
 def test_membership_is_always_member(rng):
     assert check_membership(worked_oscillatory_measure()).status == "member"
     for _ in range(10):
         assert check_membership(random_measure(rng)).status == "member"
-
-
-def test_evaluator_cache_hits_are_identical():
-    ev = TransformEvaluator(worked_oscillatory_measure())
-    a = ev.transform(1.0)
-    b = ev.transform(1.0)
-    assert a is b or a == b
-    assert ev.abs(1.0) == ev.abs(1.0)
-
-
-def test_evaluator_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        TransformEvaluator(SignedMeasure.point_mass(1.0), backend="mystery")
