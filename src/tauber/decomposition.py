@@ -27,6 +27,16 @@ Densities whose terms share one power and one decay and have commensurable
 frequencies still admit an exact treatment downstream: the sign pattern of
 the bounded periodic factor repeats, which `periodic_tail_structure`
 detects and describes.
+
+Both results depend on the segment alone, and the convergence checks and
+Karamata pipelines query the same measures across whole grids of lambda,
+so each is computed once per `DensitySegment` object and kept in the
+segment's private `_memo` slot (`_memo` below); `transforms` keeps its
+per-lambda total-variation values there too.  The memo lives and dies
+with its segment: there is no global cache to size or to clear, and an
+operation that builds fresh segments (a fresh measure, a Jordan part)
+keeps nothing alive after it.  A `SignChangeIsolationFailure` is kept as
+its message and raised afresh on every later call.
 """
 
 from __future__ import annotations
@@ -233,12 +243,44 @@ def _isolate_bounded(lo: float, hi: float, expr: Expression) -> list[SignRun]:
     return runs
 
 
+def _memo(segment: DensitySegment, key, compute):
+    """compute(), computed once per segment object and key.
+
+    The values live in the segment's `_memo` dict.  A
+    `SignChangeIsolationFailure` from compute is stored as its message (no
+    memoised value is a str) and raised as a fresh exception on this and
+    every later call: a stored exception would hold its traceback, whose
+    frames hold the memo, and so make a reference cycle.  Other exceptions
+    are not stored.
+    """
+    memo = segment._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(segment, "_memo", memo)
+    if key in memo:
+        value = memo[key]
+    else:
+        try:
+            value = compute()
+        except SignChangeIsolationFailure as exc:
+            value = str(exc)
+        memo[key] = value
+    if isinstance(value, str):
+        raise SignChangeIsolationFailure(value)
+    return value
+
+
 def sign_runs(segment: DensitySegment) -> list[SignRun]:
     """Maximal constant-sign runs covering the segment.
 
-    Raises SignChangeIsolationFailure when the segment is unbounded and no
-    eventual-sign certificate exists.
+    Computed once per segment object (see `_memo`); every call returns a
+    new list.  Raises SignChangeIsolationFailure when the segment is
+    unbounded and no eventual-sign certificate exists.
     """
+    return list(_memo(segment, "sign_runs", lambda: tuple(_sign_runs(segment))))
+
+
+def _sign_runs(segment: DensitySegment) -> list[SignRun]:
     expr = segment.density
     if expr.is_zero:
         return []
@@ -317,7 +359,9 @@ def certified_nonnegative(measure: SignedMeasure) -> bool:
 class PeriodicTail:
     """Unbounded segment whose density is x^power * exp(-decay*x) * g(x)
     with g periodic; `window` lists the sign runs of g over one period
-    starting at the segment's left endpoint."""
+    starting at the segment's left endpoint, and `shifted[j]` is
+    y^(power-j) * g(y) for j = 0..power, the integrands of the one-period
+    moments."""
 
     lo: float
     power: int
@@ -325,6 +369,7 @@ class PeriodicTail:
     period: float
     factor: Expression  # g, built from the segment's trig structure
     window: tuple[SignRun, ...]
+    shifted: tuple[Expression, ...]
 
 
 def _common_base_freq(freqs: list[float]) -> float | None:
@@ -352,8 +397,12 @@ def periodic_tail_structure(segment: DensitySegment) -> PeriodicTail | None:
 
     Requires every term to share one integer power K >= 0 and one decay A,
     with all frequencies commensurable.  Returns None when the segment does
-    not have this shape.
+    not have this shape.  Computed once per segment object (see `_memo`).
     """
+    return _memo(segment, "periodic_tail_structure", lambda: _periodic_tail(segment))
+
+
+def _periodic_tail(segment: DensitySegment) -> PeriodicTail | None:
     if not segment.unbounded:
         return None
     terms = segment.density.terms
@@ -378,4 +427,10 @@ def periodic_tail_structure(segment: DensitySegment) -> PeriodicTail | None:
     window = tuple(_isolate_bounded(segment.lo, segment.lo + period, factor))
     if not window:
         return None
-    return PeriodicTail(segment.lo, int(p), a, period, factor, window)
+    shifted = tuple(
+        Expression(tuple(
+            Term(t.coefficient, p - j, 0.0, t.kind, t.freq) for t in factor.terms
+        ))
+        for j in range(int(p) + 1)
+    )
+    return PeriodicTail(segment.lo, int(p), a, period, factor, window, shifted)

@@ -21,7 +21,8 @@ has strictly decaying terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -158,11 +159,36 @@ class Expression:
         return max((t.freq for t in self.terms), default=0.0)
 
     def evaluate(self, x: float) -> float:
+        if x == 0.0 and self.terms and self.terms[0].power < 0:
+            return self._value_at_zero()
         return math.fsum(t.value(x) for t in self.terms)
+
+    def _value_at_zero(self) -> float:
+        """f(0) when some power is negative, as the limit from the right.
+
+        Terms are sorted by power, so the groups below come in increasing
+        power.  The most negative power whose coefficients do not sum to zero
+        decides: its terms tend to the infinity of their summed sign.  A
+        power whose coefficients cancel contributes 0 in the limit (its
+        terms then differ only by decay, so their sum is O(x^{p+1}) with
+        p > -1), and when every negative power cancels the limit is the
+        sum of the other terms at 0.  Only plain terms have negative
+        powers, and exp(0) = 1.
+        """
+        for power, group in groupby(self.terms, key=lambda t: t.power):
+            if power >= 0:
+                break
+            total = math.fsum(t.coefficient for t in group)
+            if total != 0.0:
+                return math.copysign(math.inf, total)
+        return math.fsum(t.value(0.0) for t in self.terms if t.power >= 0)
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         out = np.zeros_like(xs)
+        # terms are sorted by power, so a negative power shows first
+        singular = self.terms[0].power < 0 if self.terms else False
+        at_zero = xs == 0.0 if singular else None
         for t in self.terms:
             # same operations in the same order as Term.value, minus the
             # factors that are exactly 1.0 (power 0, decay 0)
@@ -170,11 +196,11 @@ class Expression:
             if t.power > 0:
                 part = part * xs ** t.power
             elif t.power < 0:
-                # x^p is +inf at 0; power only the nonzero points so numpy
-                # raises no divide-by-zero warning
-                mono = np.full_like(xs, np.inf)
-                nz = xs != 0.0
-                mono[nz] = xs[nz] ** t.power
+                # x^p is singular at 0, whose value is set after the sum;
+                # power only the nonzero points so numpy raises no
+                # divide-by-zero warning
+                mono = np.zeros_like(xs)
+                mono[~at_zero] = xs[~at_zero] ** t.power
                 part = part * mono
             if t.decay:
                 part = part * np.exp(-t.decay * xs)
@@ -183,6 +209,8 @@ class Expression:
             elif t.kind == "sin":
                 part = part * np.sin(t.freq * xs)
             out += part
+        if singular and at_zero.any():
+            out[at_zero] = self._value_at_zero()
         return out
 
     def integral(self, lo: float, hi: float, extra_decay: float = 0.0) -> float:
@@ -276,6 +304,10 @@ class DensitySegment:
     lo: float
     hi: float
     density: Expression
+    # Per-segment results of work that depends on this segment alone (sign
+    # runs, periodic tail, total-variation values), filled and read by
+    # `decomposition._memo`; outside ==, hash and repr.
+    _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo = _require_finite("segment lo", self.lo)

@@ -17,6 +17,12 @@ computed per segment through three tiers:
 
 Tier 3 is the only inexact path and reports its error bound.  It is also
 the only path that needs scipy.integrate, which `quad` imports on first use.
+
+A segment's value depends on the segment and on (lam, allow_quadrature,
+abs_tol) alone, and the convergence checks and Karamata pipelines ask for
+the same segments at the same lam many times, so `_abs_segment` keeps each
+(value, error_bound) in the segment's memo (`decomposition._memo`), for
+every tier.  The memo lives as long as the segment object does.
 """
 
 from __future__ import annotations
@@ -27,11 +33,12 @@ from functools import lru_cache
 
 from .decomposition import (
     PeriodicTail,
+    _memo,
     periodic_tail_structure,
     sign_runs,
 )
 from .errors import DivergentTransform, SignChangeIsolationFailure
-from .measures import DensitySegment, Expression, SignedMeasure, Term
+from .measures import DensitySegment, SignedMeasure, Term
 
 __all__ = [
     "TransformValue",
@@ -128,11 +135,7 @@ def _periodic_abs_integral(pt: PeriodicTail, lam: float) -> float:
     # One-period moments I_j = integral y^{K-j} e^{-sigma y} |g(y)| dy
     # over [lo, lo+P), split along the sign runs of g.
     moments = []
-    for j in range(pt.power + 1):
-        shifted = Expression(tuple(
-            Term(t.coefficient, pt.power - j, 0.0, t.kind, t.freq)
-            for t in pt.factor.terms
-        ))
+    for shifted in pt.shifted:
         acc = 0.0
         for run in pt.window:
             acc += run.sign * shifted.integral(run.lo, run.hi, extra_decay=sigma)
@@ -237,6 +240,18 @@ def _quad_signed_segment(
 
 
 def _abs_segment(
+    seg: DensitySegment, lam: float, allow_quadrature: bool, abs_tol: float
+) -> tuple[float, float]:
+    """(value, error_bound) of |density| * exp(-lam x) over the segment,
+    computed once per segment object and argument triple."""
+    return _memo(
+        seg,
+        ("abs", lam, allow_quadrature, abs_tol),
+        lambda: _abs_segment_tiers(seg, lam, allow_quadrature, abs_tol),
+    )
+
+
+def _abs_segment_tiers(
     seg: DensitySegment, lam: float, allow_quadrature: bool, abs_tol: float
 ) -> tuple[float, float]:
     if seg.unbounded and seg.density.min_decay + lam <= 0.0:

@@ -1,7 +1,9 @@
-"""Sign-run isolation, Jordan decomposition, total variation, and the
-periodic-tail structure detector."""
+"""Sign-run isolation, Jordan decomposition, total variation, the
+periodic-tail structure detector, and the per-segment memo behind them."""
 
+import gc
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,14 +16,17 @@ from tauber import (
     SignChangeIsolationFailure,
     SignedMeasure,
     Term,
+    abs_transform,
     certified_nonnegative,
     eventual_sign,
     jordan,
+    load_scenario,
     periodic_tail_structure,
+    run_scenario,
     sign_runs,
     total_variation,
 )
-from tauber import decomposition
+from tauber import decomposition, transforms
 from tauber.decomposition import _bisect_root, _bisect_roots
 from tests.conftest import N_PROPERTY_CASES, random_measure
 
@@ -178,13 +183,15 @@ def test_sign_runs_agree_on_both_sides_of_the_bracket_constant(monkeypatch, rng)
     ]
     segments += [s for _ in range(20) for s in random_measure(rng).segments]
     for seg in segments:
+        # a fresh, equal segment on each side: sign runs are memoised per
+        # segment object, and both sides must really bisect
         monkeypatch.setattr(decomposition, "ARRAY_BISECT_MIN", 1)
         try:
-            batched = sign_runs(seg)
+            batched = sign_runs(DensitySegment(seg.lo, seg.hi, seg.density))
         except SignChangeIsolationFailure:
             continue
         monkeypatch.setattr(decomposition, "ARRAY_BISECT_MIN", 10**9)
-        assert sign_runs(seg) == batched
+        assert sign_runs(DensitySegment(seg.lo, seg.hi, seg.density)) == batched
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +336,110 @@ def test_periodic_factor_reproduces_density():
     want = seg.density.evaluate_array(xs)
     got = xs ** pt.power * np.exp(-pt.decay * xs) * pt.factor.evaluate_array(xs)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-segment memo
+# ---------------------------------------------------------------------------
+
+WORKED = Expression((Term(0.5, 1.0), Term(1.0, 1.0, 0.0, "cos", 1.0)))
+
+
+@pytest.fixture
+def isolations(monkeypatch):
+    """Counts `_isolate_bounded` calls: one per sign-run isolation."""
+    calls = []
+    isolate = decomposition._isolate_bounded
+
+    def counted(lo, hi, expr):
+        calls.append((lo, hi))
+        return isolate(lo, hi, expr)
+
+    monkeypatch.setattr(decomposition, "_isolate_bounded", counted)
+    return calls
+
+
+def test_repeat_sign_runs_do_not_isolate_again(isolations):
+    seg = DensitySegment(0.5, 60.0, Expression((Term(1.0, 0.0, 0.0, "cos", 1.0),)))
+    first = sign_runs(seg)
+    assert len(isolations) == 1
+    again = sign_runs(seg)
+    assert len(isolations) == 1
+    assert again == first
+    assert again is not first  # every caller gets its own list
+    assert sign_runs(DensitySegment(seg.lo, seg.hi, seg.density)) == first
+    assert len(isolations) == 2  # the memo belongs to the segment object
+
+
+def test_repeat_periodic_tail_structure_does_not_isolate_again(isolations):
+    seg = DensitySegment(0.0, math.inf, WORKED)
+    first = periodic_tail_structure(seg)
+    assert len(isolations) == 1
+    assert periodic_tail_structure(seg) == first
+    assert len(isolations) == 1
+    assert [e.terms[0].power for e in first.shifted] == [1.0, 0.0]
+    assert first.shifted[-1] == first.factor
+
+
+def test_repeat_abs_transform_does_not_isolate_again(isolations, monkeypatch):
+    quads = []
+    quad = transforms.quad
+
+    def counted_quad(*args, **kwargs):
+        quads.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "quad", counted_quad)
+    m = SignedMeasure(segments=(
+        DensitySegment(0.0, 10.0, Expression((Term(1.0, 0.0, 0.0, "cos", 2.0),))),
+        DensitySegment(10.0, math.inf, WORKED),
+    ))
+    quad_only = SignedMeasure.from_density(Expression((
+        Term(1.0, 0.0, 1.0, "cos", 1.0), Term(1.0, 0.0, 1.0, "sin", math.sqrt(2.0)),
+    )))
+    first = [abs_transform(m, 0.5), abs_transform(quad_only, 0.5)]
+    isolated, quadratures = len(isolations), len(quads)
+    assert isolated == 2 and quadratures > 0
+    assert [abs_transform(m, 0.5), abs_transform(quad_only, 0.5)] == first
+    assert (len(isolations), len(quads)) == (isolated, quadratures)
+    abs_transform(m, 0.7)  # another lam: new values, but no new isolation
+    assert len(isolations) == isolated
+
+
+def test_uncertifiable_tail_raises_the_same_failure_every_call(isolations):
+    seg = DensitySegment(0.0, math.inf, WORKED)
+    messages = []
+    for _ in range(3):
+        with pytest.raises(SignChangeIsolationFailure) as info:
+            sign_runs(seg)
+        messages.append(str(info.value))
+    assert messages[0].startswith("no eventual-sign certificate")
+    assert messages == messages[:1] * 3
+    assert info.value.__context__ is None
+
+
+def test_filled_memo_leaves_equality_hash_and_repr_alone():
+    seg = DensitySegment(0.0, math.inf, WORKED)
+    fresh = DensitySegment(0.0, math.inf, WORKED)
+    periodic_tail_structure(seg)
+    abs_transform(SignedMeasure(segments=(seg,)), 1.0)
+    with pytest.raises(SignChangeIsolationFailure):
+        sign_runs(seg)
+    assert seg._memo and fresh._memo is None
+    assert seg == fresh
+    assert hash(seg) == hash(fresh)
+    assert repr(seg) == repr(fresh)
+
+
+def test_scenario_run_leaves_no_cyclic_garbage():
+    path = (pathlib.Path(__file__).parents[1] / "src" / "tauber" / "data"
+            / "oscillatory_index_two.json")
+    run_scenario(load_scenario(path))  # first-use imports and caches
+    gc.collect()
+    gc.disable()
+    try:
+        # a fresh load: fresh segments, whose memos start empty
+        assert run_scenario(load_scenario(path)).exit_code == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -80,6 +80,26 @@ def test_expression_evaluate_array_at_zero_without_warnings():
         assert Expression((Term(1.0, 2.0, 0.0, "sin", 3.0),)).evaluate_array(xs)[0] == 0.0
 
 
+@pytest.mark.parametrize("terms, want", [
+    # 2x^-0.5 - x^-0.3 -> +inf: the most negative power decides
+    ((Term(2.0, -0.5), Term(-1.0, -0.3)), math.inf),
+    ((Term(-2.0, -0.5), Term(1.0, -0.3), Term(5.0)), -math.inf),
+    # x^-0.5 (e^-x - 1) -> 0: a cancelled power defers to the next one
+    ((Term(1.0, -0.5, 1.0), Term(-1.0, -0.5), Term(-1.0, -0.3)), -math.inf),
+    # every negative power cancels: the other terms give the value
+    ((Term(1.0, -0.5, 1.0), Term(-1.0, -0.5), Term(3.0), Term(2.0, 0.0, 0.0, "cos", 1.0)),
+     5.0),
+], ids=["opposite-signs", "negative-lead", "cancelled-lead", "all-cancelled"])
+def test_expression_value_at_zero_with_negative_powers(terms, want):
+    e = Expression(terms)
+    with np.errstate(all="raise"):
+        assert e.evaluate(0.0) == want
+        got = e.evaluate_array(np.array([0.0, 0.5, 0.0]))
+        assert got[0] == got[2] == want
+        assert got[1] == e.evaluate(0.5)
+        assert float(e.evaluate_array(0.0)) == want
+
+
 @given(st.floats(0.1, 3.0), st.integers(0, 3), st.floats(0.0, 2.0))
 @settings(max_examples=60, deadline=None)
 def test_expression_scale_then_evaluate_consistent(c, k, a):
