@@ -16,7 +16,7 @@ as inconclusive rather than silently resolved either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -194,6 +194,32 @@ class VerdictReport:
         return out
 
 
+def _sweep(
+    check: str,
+    points: Iterable[float],
+    run: Callable[[float], VerdictReport],
+    stat: str,
+) -> VerdictReport:
+    """Run a per-point check at each point and keep the worst.
+
+    The status is the worst status; the statistics, tolerances and
+    witnesses are those of the point with the largest `stat`; the table
+    gives each point's `stat`, sorted by point.
+    """
+    reports = {x: run(x) for x in points}
+    worst = max(reports.values(), key=lambda r: r.statistics[stat])
+    return VerdictReport(
+        check=check,
+        status=_worst(r.status for r in reports.values()),
+        statistics=dict(worst.statistics),
+        tolerances=dict(worst.tolerances),
+        witnesses=worst.witnesses,
+        table=tuple(
+            {"point": x, stat: r.statistics[stat]} for x, r in sorted(reports.items())
+        ),
+    )
+
+
 # -- integration against hat functions ----------------------------------
 
 
@@ -241,6 +267,74 @@ def _default_centers(limit: SignedMeasure) -> tuple[float, ...]:
     return tuple(sorted(pts)) or (1.0,)
 
 
+def _deviation_test(
+    check: str,
+    seq: MeasureSequence,
+    probes: Sequence[float],
+    functional: Callable[[SignedMeasure, float], float],
+    key: str,
+    n_max: int,
+    ratio: float,
+    tol: float,
+    tail_fraction: float,
+    band: float,
+) -> VerdictReport:
+    """Track functional(mu_n, p) - functional(limit, p) over the index grid
+    for each probe p.
+
+    The pass statistic is the largest extrapolated absolute deviation
+    across probes; a verdict other than pass names the worst probe (under
+    `key`) as its witness.  Each table row holds the probe, the limit's
+    value, the tail-window maximum absolute deviation and the
+    extrapolated deviation.
+    """
+    limit = seq.limit
+    if limit is None:
+        raise ValueError(f"{check} needs a declared limit measure")
+    grid = index_grid(n_max, ratio)
+    table = []
+    estimates = {}
+    for p in probes:
+        target = functional(limit, p)
+        devs = [functional(seq.measure(n), p) - target for n in grid]
+        est = TailEstimate.from_values(grid, devs, tail_fraction)
+        estimates[p] = est
+        table.append({
+            key: p,
+            "target": target,
+            "tail_max_abs": max(abs(est.tail_max), abs(est.tail_min)),
+            "extrapolated": est.extrapolated,
+        })
+    worst = max(probes, key=lambda p: abs(estimates[p].extrapolated))
+    est = estimates[worst]
+    stat = abs(est.extrapolated)
+    status = classify(stat, tol, band)
+    witnesses = ()
+    if status != "pass":
+        witnesses = ({
+            key: worst,
+            "n": est.indices[-1],
+            "deviation": est.values[-1],
+            "extrapolated": est.extrapolated,
+        },)
+    return VerdictReport(
+        check=check,
+        status=status,
+        statistics={"max_extrapolated_abs_deviation": stat},
+        tolerances={"tol": tol, "band": band},
+        witnesses=witnesses,
+        table=tuple(table),
+    )
+
+
+def _with_max_tail(report: VerdictReport) -> VerdictReport:
+    """Add the largest tail-window absolute deviation across probes."""
+    return replace(report, statistics={
+        **report.statistics,
+        "max_tail_abs_deviation": max(row["tail_max_abs"] for row in report.table),
+    })
+
+
 def vague_test(
     seq: MeasureSequence,
     centers: Sequence[float] | None = None,
@@ -257,11 +351,10 @@ def vague_test(
     over the index grid; the pass statistic is the largest extrapolated
     absolute deviation across hats.
     """
-    limit = seq.limit
-    if limit is None:
+    if seq.limit is None:
         raise ValueError("vague test needs a declared limit measure")
     if centers is None:
-        centers = _default_centers(limit)
+        centers = _default_centers(seq.limit)
     centers = tuple(float(c) for c in centers)
     if width is None:
         if len(centers) >= 2:
@@ -269,46 +362,13 @@ def vague_test(
             width = max(min(gaps) / 2.0, 1e-6)
         else:
             width = 0.5
-    grid = index_grid(n_max, ratio)
-    table = []
-    estimates = {}
-    for c in centers:
-        target = hat_integral(limit, c, width)
-        devs = [hat_integral(seq.measure(n), c, width) - target for n in grid]
-        est = TailEstimate.from_values(grid, devs, tail_fraction)
-        estimates[c] = est
-        table.append({
-            "center": c,
-            "width": width,
-            "target": target,
-            "tail_max_abs": max(abs(est.tail_max), abs(est.tail_min)),
-            "extrapolated": est.extrapolated,
-        })
-    stat = max(abs(estimates[c].extrapolated) for c in centers)
-    worst_c = max(centers, key=lambda c: abs(estimates[c].extrapolated))
-    est = estimates[worst_c]
-    status = classify(stat, tol, band)
-    witnesses = ()
-    if status != "pass":
-        witnesses = ({
-            "center": worst_c,
-            "n": est.indices[-1],
-            "deviation": est.values[-1],
-            "extrapolated": est.extrapolated,
-        },)
-    return VerdictReport(
-        check="vague_convergence",
-        status=status,
-        statistics={
-            "max_extrapolated_abs_deviation": stat,
-            "max_tail_abs_deviation": max(
-                max(abs(e.tail_max), abs(e.tail_min)) for e in estimates.values()
-            ),
-        },
-        tolerances={"tol": tol, "band": band},
-        witnesses=witnesses,
-        table=tuple(table),
+    report = _deviation_test(
+        "vague_convergence", seq, centers, lambda m, c: hat_integral(m, c, width),
+        "center", n_max, ratio, tol, tail_fraction, band,
     )
+    return _with_max_tail(replace(
+        report, table=tuple({**row, "width": width} for row in report.table),
+    ))
 
 
 def laplace_convergence_test(
@@ -321,51 +381,13 @@ def laplace_convergence_test(
     band: float = DEFAULT_BAND,
 ) -> VerdictReport:
     """Pointwise transform convergence psi_n(lam) -> psi_limit(lam)."""
-    limit = seq.limit
-    if limit is None:
-        raise ValueError("transform convergence needs a declared limit measure")
     lambdas = tuple(float(v) for v in lambdas)
     if not lambdas or any(v <= 0 for v in lambdas):
         raise ValueError("transform grid must contain positive values")
-    grid = index_grid(n_max, ratio)
-    table = []
-    stats = {}
-    for lam in lambdas:
-        target = laplace_transform(limit, lam)
-        devs = [laplace_transform(seq.measure(n), lam) - target for n in grid]
-        est = TailEstimate.from_values(grid, devs, tail_fraction)
-        stats[lam] = est
-        table.append({
-            "lam": lam,
-            "target": target,
-            "tail_max_abs": max(abs(est.tail_max), abs(est.tail_min)),
-            "extrapolated": est.extrapolated,
-        })
-    stat = max(abs(e.extrapolated) for e in stats.values())
-    worst = max(lambdas, key=lambda v: abs(stats[v].extrapolated))
-    status = classify(stat, tol, band)
-    witnesses = ()
-    if status != "pass":
-        est = stats[worst]
-        witnesses = ({
-            "lam": worst,
-            "n": est.indices[-1],
-            "deviation": est.values[-1],
-            "extrapolated": est.extrapolated,
-        },)
-    return VerdictReport(
-        check="laplace_convergence",
-        status=status,
-        statistics={
-            "max_extrapolated_abs_deviation": stat,
-            "max_tail_abs_deviation": max(
-                max(abs(e.tail_max), abs(e.tail_min)) for e in stats.values()
-            ),
-        },
-        tolerances={"tol": tol, "band": band},
-        witnesses=witnesses,
-        table=tuple(table),
-    )
+    return _with_max_tail(_deviation_test(
+        "laplace_convergence", seq, lambdas, laplace_transform,
+        "lam", n_max, ratio, tol, tail_fraction, band,
+    ))
 
 
 def bounded_laplace_test(
@@ -510,54 +532,20 @@ def distribution_convergence_test(
     removed first and noted; the verdict is then a "grid almost everywhere"
     statement.
     """
-    limit = seq.limit
-    if limit is None:
-        raise ValueError("distribution convergence needs a declared limit measure")
     pts = [float(p) for p in points]
     excluded = sorted({float(e) for e in exclude} & set(pts))
     pts = [p for p in pts if p not in set(excluded)]
     if not pts:
         raise ValueError("no evaluation points remain after exclusions")
-    grid = index_grid(n_max, ratio)
-    table = []
-    stats = {}
-    for p in pts:
-        target = limit.distribution(p)
-        devs = [seq.measure(n).distribution(p) - target for n in grid]
-        est = TailEstimate.from_values(grid, devs, tail_fraction)
-        stats[p] = est
-        table.append({
-            "point": p,
-            "target": target,
-            "tail_max_abs": max(abs(est.tail_max), abs(est.tail_min)),
-            "extrapolated": est.extrapolated,
-        })
-    stat = max(abs(e.extrapolated) for e in stats.values())
-    worst = max(pts, key=lambda p: abs(stats[p].extrapolated))
-    status = classify(stat, tol, band)
-    witnesses = ()
-    if status != "pass":
-        est = stats[worst]
-        witnesses = ({
-            "point": worst,
-            "n": est.indices[-1],
-            "deviation": est.values[-1],
-            "extrapolated": est.extrapolated,
-        },)
-    notes = ()
-    if excluded:
-        notes = (
-            "grid a.e.: excluded exceptional points " + ", ".join(map(str, excluded)),
-        )
-    return VerdictReport(
-        check="distribution_convergence",
-        status=status,
-        statistics={"max_extrapolated_abs_deviation": stat},
-        tolerances={"tol": tol, "band": band},
-        witnesses=witnesses,
-        notes=notes,
-        table=tuple(table),
+    report = _deviation_test(
+        "distribution_convergence", seq, pts, SignedMeasure.distribution,
+        "point", n_max, ratio, tol, tail_fraction, band,
     )
+    if not excluded:
+        return report
+    return replace(report, notes=(
+        "grid a.e.: excluded exceptional points " + ", ".join(map(str, excluded)),
+    ))
 
 
 def continuity_point_test(measure: SignedMeasure, point: float, atol: float = 0.0) -> VerdictReport:

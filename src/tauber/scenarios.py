@@ -19,6 +19,12 @@ sequence template any numeric leaf may instead be {"expr": "..."} with an
 arithmetic expression in the index n (constants, + - * / **, unary sign);
 the expression grammar is whitelisted on the AST, nothing else evaluates.
 
+`load_scenario` does all validation: it builds every measure, compiles
+every template expression once, and coerces every check parameter through
+the check table `_CHECKS`, so a mistyped, missing or ill-typed parameter
+is a ScenarioValidationError naming its dotted path, never a run-time
+error.
+
 Check results keep their wall-clock timings out of the serialised report
 (console only), so repeated runs of the same scenario produce identical
 bytes.  Exit codes reflect expectation matching: 0 when every check ends
@@ -35,15 +41,22 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
+from types import CodeType
 from typing import Any, Callable
 
-from . import tauberian
 from .convergence import (
+    DEFAULT_BAND,
+    DEFAULT_H_GRID,
+    DEFAULT_N_MAX,
+    DEFAULT_RATIO,
     MeasureSequence,
     VerdictReport,
+    _sweep,
     bounded_laplace_test,
+    classify,
     continuity_backward,
     continuity_forward,
     continuity_point_test,
@@ -56,6 +69,9 @@ from .convergence import (
 from .errors import ScenarioParseError, ScenarioValidationError
 from .measures import SignedMeasure
 from .tauberian import (
+    DEFAULT_RATIO_POINTS,
+    DEFAULT_T_GRID,
+    DEFAULT_TAU_GRID,
     KaramataConfig,
     asymptotic_ratio,
     karamata_pipeline,
@@ -88,67 +104,64 @@ _EXPECTED_STATUSES = ("pass", "fail", "inconclusive")
 
 # -- expression templates -------------------------------------------------
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-_ALLOWED_UNARY = (ast.UAdd, ast.USub)
+# the whole grammar: numbers, the name n, + - * / ** and unary signs
+_ALLOWED_NODES = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.BinOp, ast.UnaryOp,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub,
+)
 
 
-def _compile_expr(src: str, where: str) -> Callable[[int], float]:
+def _compile_expr(src: str, where: str) -> CodeType:
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
         raise ScenarioValidationError(where, f"bad expression {src!r}: {exc.msg}") from exc
     for node in ast.walk(tree):
-        if isinstance(node, (ast.operator, ast.unaryop, ast.expr_context)):
-            continue  # op/context leaves; the parent BinOp/UnaryOp is vetted
-        if isinstance(node, (ast.Expression, ast.Constant, ast.Name, ast.BinOp, ast.UnaryOp)):
-            if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-                raise ScenarioValidationError(where, f"non-numeric constant in {src!r}")
-            if isinstance(node, ast.Name) and node.id != "n":
-                raise ScenarioValidationError(
-                    where, f"only the name 'n' is allowed in expressions, got {node.id!r}"
-                )
-            if isinstance(node, ast.BinOp) and not isinstance(node.op, _ALLOWED_BINOPS):
-                raise ScenarioValidationError(where, f"operator not allowed in {src!r}")
-            if isinstance(node, ast.UnaryOp) and not isinstance(node.op, _ALLOWED_UNARY):
-                raise ScenarioValidationError(where, f"operator not allowed in {src!r}")
-            continue
-        raise ScenarioValidationError(where, f"disallowed syntax in expression {src!r}")
-    code = compile(tree, f"<{where}>", "eval")
-
-    def evaluate(n: int) -> float:
-        return float(eval(code, {"__builtins__": {}}, {"n": n}))
-
-    return evaluate
+        if not isinstance(node, _ALLOWED_NODES):
+            raise ScenarioValidationError(
+                where, f"{type(node).__name__} not allowed in expression {src!r}"
+            )
+        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
+            raise ScenarioValidationError(where, f"non-numeric constant in {src!r}")
+        if isinstance(node, ast.Name) and node.id != "n":
+            raise ScenarioValidationError(
+                where, f"only the name 'n' is allowed in expressions, got {node.id!r}"
+            )
+    return compile(tree, f"<{where}>", "eval")
 
 
-def _resolve_number(value: Any, n: int | None, where: str) -> float:
+def _leaf(value: Any, indexed: bool, where: str) -> float | CodeType:
+    """A numeric leaf: a float, or inside a sequence template (`indexed`)
+    the compiled {"expr": ...} to evaluate at each index."""
     if isinstance(value, dict):
         if set(value.keys()) != {"expr"} or not isinstance(value["expr"], str):
             raise ScenarioValidationError(where, "expected a number or {\"expr\": \"...\"}")
-        if n is None:
+        if not indexed:
             raise ScenarioValidationError(
                 where, "index expressions are only allowed inside sequence templates"
             )
-        return _compile_expr(value["expr"], where)(n)
+        return _compile_expr(value["expr"], where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioValidationError(where, f"expected a number, got {value!r}")
     return float(value)
 
 
-def _build_measure(obj: Any, n: int | None, where: str) -> SignedMeasure:
+def _template(obj: Any, indexed: bool, where: str) -> dict:
+    """Validate a measure object once into the SignedMeasure.from_dict
+    layout, with each numeric leaf resolved by `_leaf`."""
     if not isinstance(obj, dict):
         raise ScenarioValidationError(where, "measure must be a JSON object")
     for key in obj:
         if key not in ("atoms", "segments"):
             raise ScenarioValidationError(f"{where}.{key}", "unknown measure field")
-    resolved: dict = {"atoms": [], "segments": []}
+    plan: dict = {"atoms": [], "segments": []}
     for i, entry in enumerate(obj.get("atoms", []) or []):
         p = f"{where}.atoms[{i}]"
         if not isinstance(entry, dict) or set(entry) - {"x", "w"}:
             raise ScenarioValidationError(p, "atom needs exactly fields x, w")
-        resolved["atoms"].append({
-            "x": _resolve_number(entry.get("x"), n, f"{p}.x"),
-            "w": _resolve_number(entry.get("w"), n, f"{p}.w"),
+        plan["atoms"].append({
+            "x": _leaf(entry.get("x"), indexed, f"{p}.x"),
+            "w": _leaf(entry.get("w"), indexed, f"{p}.w"),
         })
     for i, entry in enumerate(obj.get("segments", []) or []):
         p = f"{where}.segments[{i}]"
@@ -156,8 +169,8 @@ def _build_measure(obj: Any, n: int | None, where: str) -> SignedMeasure:
             raise ScenarioValidationError(p, "segment needs fields lo, hi, terms")
         hi = entry.get("hi")
         seg = {
-            "lo": _resolve_number(entry.get("lo"), n, f"{p}.lo"),
-            "hi": None if hi is None else _resolve_number(hi, n, f"{p}.hi"),
+            "lo": _leaf(entry.get("lo"), indexed, f"{p}.lo"),
+            "hi": None if hi is None else _leaf(hi, indexed, f"{p}.hi"),
             "terms": [],
         }
         terms = entry.get("terms")
@@ -173,21 +186,363 @@ def _build_measure(obj: Any, n: int | None, where: str) -> SignedMeasure:
                     raise ScenarioValidationError(
                         f"{q}.osc", 'osc must be null, {"cos": b} or {"sin": b}'
                     )
-                osc = {next(iter(osc)): _resolve_number(next(iter(osc.values())), n, f"{q}.osc")}
+                osc = {next(iter(osc)): _leaf(next(iter(osc.values())), indexed, f"{q}.osc")}
             seg["terms"].append({
-                "c": _resolve_number(t.get("c"), n, f"{q}.c"),
-                "k": _resolve_number(t.get("k", 0.0), n, f"{q}.k"),
-                "a": _resolve_number(t.get("a", 0.0), n, f"{q}.a"),
+                "c": _leaf(t.get("c"), indexed, f"{q}.c"),
+                "k": _leaf(t.get("k", 0.0), indexed, f"{q}.k"),
+                "a": _leaf(t.get("a", 0.0), indexed, f"{q}.a"),
                 "osc": osc,
             })
-        resolved["segments"].append(seg)
+        plan["segments"].append(seg)
+    return plan
+
+
+def _fill(node: Any, n: int | None) -> Any:
+    if isinstance(node, CodeType):
+        return float(eval(node, {"__builtins__": {}}, {"n": n}))
+    if isinstance(node, dict):
+        return {k: _fill(v, n) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_fill(v, n) for v in node]
+    return node
+
+
+def _instantiate(plan: dict, n: int | None, where: str) -> SignedMeasure:
     try:
-        return SignedMeasure.from_dict(resolved)
-    except (ValueError, ArithmeticError) as exc:
+        return SignedMeasure.from_dict(_fill(plan, n))
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise ScenarioValidationError(where, str(exc)) from exc
 
 
+def _fixed_measure(obj: Any, where: str) -> SignedMeasure:
+    """A measure object outside any template: no index expressions."""
+    return _instantiate(_template(obj, False, where), None, where)
+
+
+# -- parameter coercion ---------------------------------------------------
+
+_REQUIRED = object()  # default of a parameter a check cannot run without
+
+
+def _number(v: Any) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _int(v: Any) -> int:
+    return int(_number(v))
+
+
+def _bool(v: Any) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _floats(v: Any) -> tuple[float, ...]:
+    if not isinstance(v, (list, tuple)) or not v:
+        raise ValueError(f"expected a nonempty list of numbers, got {v!r}")
+    return tuple(_number(x) for x in v)
+
+
+def _float_or_floats(v: Any) -> tuple[float, ...]:
+    return _floats(v if isinstance(v, (list, tuple)) else [v])
+
+
+def _norm_expected(v: Any) -> float:
+    return math.inf if v == "inf" else _number(v)
+
+
+def _expected_values(v: Any) -> tuple[tuple[float, float], ...]:
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"expected a list, got {v!r}")
+    pairs = []
+    for e in v:
+        if not isinstance(e, dict) or set(e) != {"lam", "value"}:
+            raise ValueError(f'entries must be {{"lam": number, "value": number}}, got {e!r}')
+        pairs.append((_number(e["lam"]), _number(e["value"])))
+    return tuple(pairs)
+
+
+def _direction(v: Any) -> str:
+    if v not in ("psi_to_F", "F_to_psi"):
+        raise ValueError(f"expected psi_to_F or F_to_psi, got {v!r}")
+    return v
+
+
+def _coerce(spec: dict[str, tuple[Callable, Any]], given: dict, where: str) -> dict:
+    """Coerce `given` by `spec` (name -> (coercion, default)), filling in
+    defaults; an unknown, missing or uncoercible key names its path."""
+    for name in given:
+        if name not in spec:
+            raise ScenarioValidationError(
+                f"{where}.{name}", f"unknown parameter; known: {', '.join(sorted(spec))}"
+            )
+    out = {}
+    for name, (coerce, default) in spec.items():
+        if name not in given:
+            if default is _REQUIRED:
+                raise ScenarioValidationError(f"{where}.{name}", "required parameter missing")
+            out[name] = default
+            continue
+        try:
+            out[name] = coerce(given[name])
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ScenarioValidationError(f"{where}.{name}", str(exc)) from None
+    return out
+
+
+# -- the check table ------------------------------------------------------
+
+# scenario `config` keys, which a grid check may also set for itself
+_GRID_PARAMS = {
+    "n_max": (_int, DEFAULT_N_MAX),
+    "grid_ratio": (_number, DEFAULT_RATIO),
+    "band": (_number, DEFAULT_BAND),
+}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One check kind.
+
+    `run(target, **params)` produces the report.  The lambdas in `_CHECKS`
+    name library functions, so they are looked up in this module's globals
+    at call time, where a tracer may have rebound them.
+    """
+
+    target: str                              # "measure" (or a sequence's limit) | "sequence"
+    params: dict[str, tuple[Callable, Any]]  # name -> (coercion, default or _REQUIRED)
+    run: Callable[..., VerdictReport]
+    grid: bool = False                       # takes n_max, grid_ratio, band
+    tol_key: str | None = None               # the parameter `--tol` overrides
+    validate: Callable[[dict, str], None] | None = None
+
+
+def _transform_table(measure, lambdas, tol, include_abs, expected) -> VerdictReport:
+    expected = dict(expected)
+    table = []
+    devs = []
+    for lam in lambdas:
+        row = {"lam": lam, "psi": laplace_transform(measure, lam)}
+        if include_abs:
+            row["psi_abs"] = abs_transform_value(measure, lam)
+        if lam in expected:
+            row["expected"] = expected[lam]
+            row["abs_error"] = abs(row["psi"] - expected[lam])
+            devs.append(row["abs_error"])
+        table.append(row)
+    stat = max(devs) if devs else 0.0
+    return VerdictReport(
+        check="transform_table",
+        status=classify(stat, tol) if devs else "pass",
+        statistics={"max_abs_error": stat} if devs else {},
+        tolerances={"tol": tol} if devs else {},
+        table=tuple(table),
+    )
+
+
+def _expected_in_lambdas(params: dict, where: str) -> None:
+    if {lam for lam, _ in params["expected"]} - set(params["lambdas"]):
+        raise ScenarioValidationError(
+            f"{where}.expected", "expected values for arguments missing from lambdas"
+        )
+
+
+def _membership(measure) -> VerdictReport:
+    verdict = check_membership(measure)
+    return VerdictReport(
+        check="membership",
+        status="pass" if verdict.status == "member" else (
+            "fail" if verdict.status == "not_member" else "inconclusive"
+        ),
+        notes=(f"{verdict.status}: {verdict.detail}",),
+    )
+
+
+def _norm(measure, expected, tol) -> VerdictReport:
+    value = measure.norm()
+    stats = {"norm": value}
+    status = "pass"
+    if expected is not None:
+        stats["expected"] = expected
+        if math.isinf(expected):
+            status = "pass" if math.isinf(value) else "fail"
+        else:
+            stats["abs_error"] = abs(value - expected)
+            status = classify(stats["abs_error"], tol)
+    return VerdictReport(check="norm", status=status, statistics=stats)
+
+
+def _tilt_identity(measure, eps, lambdas, tol) -> VerdictReport:
+    worst = 0.0
+    table = []
+    for e in eps:
+        for lam in lambdas:
+            r = tilt_identity_residual(measure, e, lam)
+            worst = max(worst, r)
+            table.append({"eps": e, "lam": lam, "residual": r})
+    return VerdictReport(
+        check="tilt_identity",
+        status=classify(worst, tol),
+        statistics={"max_residual": worst},
+        tolerances={"tol": tol},
+        table=tuple(table),
+    )
+
+
+def _window_increment(measure, point, points, **kwargs) -> VerdictReport:
+    """One point gives its own report; several are swept, keeping the worst."""
+    run = partial(window_increment_condition, measure, **kwargs)
+    points = (point,) if points is None else points
+    if len(points) == 1:
+        return run(points[0])
+    return _sweep("window_increment_condition", points, run, "max_small_window_stat")
+
+
+# every KaramataConfig field but the grid ones, coerced by its default's type
+_KARAMATA_PARAMS = {
+    f.name: (_floats if isinstance(f.default, tuple) else _number, f.default)
+    for f in fields(KaramataConfig) if f.name not in _GRID_PARAMS
+}
+
+_CHECKS: dict[str, _Kind] = {
+    "transform_table": _Kind(
+        "measure",
+        {"lambdas": (_floats, _REQUIRED), "tol": (_number, 1e-9),
+         "include_abs": (_bool, False), "expected": (_expected_values, ())},
+        _transform_table, tol_key="tol", validate=_expected_in_lambdas,
+    ),
+    "membership": _Kind("measure", {}, _membership),
+    "norm": _Kind(
+        "measure", {"expected": (_norm_expected, None), "tol": (_number, 1e-9)},
+        _norm, tol_key="tol",
+    ),
+    "tilt_identity": _Kind(
+        "measure",
+        {"eps": (_float_or_floats, (0.5, 1.0)), "lambdas": (_floats, (0.25, 1.0, 4.0)),
+         "tol": (_number, 1e-10)},
+        _tilt_identity, tol_key="tol",
+    ),
+    "laplace_convergence": _Kind(
+        "sequence", {"lambdas": (_floats, _REQUIRED), "tol": (_number, 1e-6)},
+        lambda seq, **p: laplace_convergence_test(seq, **p), grid=True, tol_key="tol",
+    ),
+    "vague": _Kind(
+        "sequence",
+        {"centers": (_floats, None), "width": (_number, None), "tol": (_number, 1e-6)},
+        lambda seq, **p: vague_test(seq, **p), grid=True, tol_key="tol",
+    ),
+    "bounded_laplace": _Kind(
+        "sequence",
+        {"lambdas": (_floats, _REQUIRED), "cap": (_number, None),
+         "slope_tol": (_number, 1e-3)},
+        lambda seq, **p: bounded_laplace_test(seq, **p), grid=True,
+    ),
+    "right_equicontinuity": _Kind(
+        "sequence",
+        {"point": (_number, _REQUIRED), "epsilon": (_number, 0.05),
+         "h_grid": (_floats, DEFAULT_H_GRID)},
+        lambda seq, **p: right_equicontinuity_test(seq, **p), grid=True,
+    ),
+    "distribution_convergence": _Kind(
+        "sequence",
+        {"points": (_floats, _REQUIRED), "tol": (_number, 0.02),
+         "use_exceptional": (_bool, False)},
+        lambda seq, use_exceptional, **p: distribution_convergence_test(
+            seq, exclude=seq.exceptional if use_exceptional else (), **p),
+        grid=True, tol_key="tol",
+    ),
+    "continuity_point": _Kind(
+        "measure", {"point": (_number, _REQUIRED), "atol": (_number, 0.0)},
+        lambda m, **p: continuity_point_test(m, **p),
+    ),
+    "part_domination": _Kind(
+        "sequence", {"lambdas": (_floats, _REQUIRED), "delta": (_number, 0.1)},
+        lambda seq, **p: part_domination_test(seq, **p), grid=True,
+    ),
+    "continuity_forward": _Kind(
+        "sequence",
+        {"point": (_number, _REQUIRED), "lambdas": (_floats, _REQUIRED),
+         "psi_tol": (_number, 1e-6), "F_tol": (_number, 0.02), "epsilon": (_number, 0.05),
+         "skip_equicontinuity": (_bool, False), "h_grid": (_floats, DEFAULT_H_GRID)},
+        lambda seq, **p: continuity_forward(seq, **p), grid=True,
+    ),
+    "continuity_backward": _Kind(
+        "sequence",
+        {"points": (_floats, _REQUIRED), "lambdas": (_floats, _REQUIRED),
+         "psi_tol": (_number, 1e-6), "F_tol": (_number, 0.02)},
+        lambda seq, **p: continuity_backward(seq, **p), grid=True,
+    ),
+    "rv_index_transform": _Kind(
+        "measure",
+        {"declared": (_number, None), "rho_tol": (_number, 0.05),
+         "tau_grid": (_floats, DEFAULT_TAU_GRID),
+         "ratio_points": (_floats, DEFAULT_RATIO_POINTS)},
+        lambda m, declared, rho_tol, **grids: rv_report(
+            rv_index_from_transform(m, **grids), declared=declared, rho_tol=rho_tol),
+    ),
+    "rv_index_distribution": _Kind(
+        "measure",
+        {"declared": (_number, None), "rho_tol": (_number, 0.05),
+         "t_grid": (_floats, DEFAULT_T_GRID),
+         "ratio_points": (_floats, DEFAULT_RATIO_POINTS),
+         "window_decades": (_number, 1.0)},
+        lambda m, declared, rho_tol, **grids: rv_report(
+            rv_index_from_distribution(m, **grids), declared=declared, rho_tol=rho_tol),
+    ),
+    "sign_ratio_condition": _Kind(
+        "measure", {"floor": (_number, 0.01), "tau_grid": (_floats, DEFAULT_TAU_GRID)},
+        lambda m, **p: sign_ratio_condition(m, **p),
+    ),
+    "window_increment_condition": _Kind(
+        "measure",
+        {"point": (_number, 1.0), "points": (_floats, None), "ceiling": (_number, 0.05),
+         "tau_grid": (_floats, DEFAULT_TAU_GRID), "h_grid": (_floats, DEFAULT_H_GRID)},
+        _window_increment,
+    ),
+    "asymptotic_ratio": _Kind(
+        "measure",
+        {"rho": (_number, _REQUIRED), "window_decades": (_number, 1.0),
+         "tol": (_number, 0.02), "t_grid": (_floats, DEFAULT_T_GRID)},
+        lambda m, **p: asymptotic_ratio(m, **p), tol_key="tol",
+    ),
+    "slow_variation": _Kind(
+        "measure",
+        {"rho": (_number, _REQUIRED), "tol": (_number, 0.01),
+         "window_decades": (_number, 1.0), "t_grid": (_floats, DEFAULT_T_GRID),
+         "ratio_points": (_floats, DEFAULT_RATIO_POINTS)},
+        lambda m, **p: slow_variation_diagnostic(m, **p), tol_key="tol",
+    ),
+    "karamata_pipeline": _Kind(
+        "measure",
+        {"direction": (_direction, "psi_to_F"), **_KARAMATA_PARAMS},
+        lambda m, direction, ratio, **cfg: karamata_pipeline(
+            m, direction, KaramataConfig(grid_ratio=ratio, **cfg)),
+        grid=True,
+    ),
+}
+
+CHECK_NAMES = tuple(sorted(_CHECKS))
+
+_META_KEYS = {"check", "expect", "id"}
+_TARGET_KEYS = {"measure": {"measure", "sequence"}, "sequence": {"sequence"}}
+
+
 # -- scenario object ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Check:
+    """A check as `load_scenario` validated it: its target resolved and its
+    parameters coerced, defaults filled in."""
+
+    check_id: str
+    kind: str
+    expect: str
+    target: SignedMeasure | MeasureSequence
+    params: dict
 
 
 @dataclass
@@ -197,45 +552,84 @@ class Scenario:
     sequences: dict[str, dict]
     checks: list[dict]
     config: dict
-    _measure_cache: dict[str, SignedMeasure] = field(default_factory=dict, repr=False)
-    _sequence_cache: dict[str, MeasureSequence] = field(default_factory=dict, repr=False)
+    _measures: dict[str, SignedMeasure] = field(default_factory=dict, repr=False)
+    _sequences: dict[str, MeasureSequence] = field(default_factory=dict, repr=False)
+    _checks: list[_Check] = field(default_factory=list, repr=False)
 
     def measure(self, name: str) -> SignedMeasure:
-        if name not in self.measures:
-            raise ScenarioValidationError("measures", f"no measure named {name!r}")
-        if name not in self._measure_cache:
-            self._measure_cache[name] = _build_measure(
-                self.measures[name], None, f"measures.{name}"
-            )
-        return self._measure_cache[name]
+        return _lookup(self._measures, name, "measures", "measure")
 
     def sequence(self, name: str) -> MeasureSequence:
-        if name not in self.sequences:
-            raise ScenarioValidationError("sequences", f"no sequence named {name!r}")
-        if name not in self._sequence_cache:
-            spec = self.sequences[name]
-            where = f"sequences.{name}"
-            template = spec["template"]
-            limit_spec = spec.get("limit")
-            if limit_spec is None:
-                limit = SignedMeasure.zero()
-            elif isinstance(limit_spec, str):
-                limit = self.measure(limit_spec)
-            else:
-                limit = _build_measure(limit_spec, None, f"{where}.limit")
-            exceptional = tuple(
-                _resolve_number(v, None, f"{where}.exceptional[{i}]")
-                for i, v in enumerate(spec.get("exceptional", []) or [])
-            )
-            # validate the template eagerly at a sample index
-            _build_measure(template, 2, f"{where}.template")
-            self._sequence_cache[name] = MeasureSequence(
-                rule=lambda nn, _t=template, _w=where: _build_measure(_t, nn, f"{_w}.template"),
-                limit=limit,
-                exceptional=exceptional,
-                name=name,
-            )
-        return self._sequence_cache[name]
+        return _lookup(self._sequences, name, "sequences", "sequence")
+
+
+def _lookup(table: dict, name: Any, where: str, what: str) -> Any:
+    if not isinstance(name, str) or name not in table:
+        raise ScenarioValidationError(where, f"no {what} named {name!r}")
+    return table[name]
+
+
+def _sequence(scn: Scenario, key: str, spec: Any) -> MeasureSequence:
+    where = f"sequences.{key}"
+    if not isinstance(spec, dict) or "template" not in spec:
+        raise ScenarioValidationError(where, "needs a template")
+    for extra in set(spec) - {"template", "limit", "exceptional"}:
+        raise ScenarioValidationError(f"{where}.{extra}", "unknown field")
+    limit_spec = spec.get("limit")
+    if limit_spec is None:
+        limit = SignedMeasure.zero()
+    elif isinstance(limit_spec, str):
+        limit = _lookup(scn._measures, limit_spec, f"{where}.limit", "measure")
+    else:
+        limit = _fixed_measure(limit_spec, f"{where}.limit")
+    exceptional = tuple(
+        _leaf(v, False, f"{where}.exceptional[{i}]")
+        for i, v in enumerate(spec.get("exceptional", []) or [])
+    )
+    plan = _template(spec["template"], True, f"{where}.template")
+    # evaluate every expression once, at a sample index, so bad ones fail at load
+    _instantiate(plan, 2, f"{where}.template")
+    return MeasureSequence(
+        rule=lambda n: _instantiate(plan, n, f"{where}.template"),
+        limit=limit,
+        exceptional=exceptional,
+        name=key,
+    )
+
+
+def _prepare(scn: Scenario, index: int, chk: Any, grid: dict) -> _Check:
+    where = f"checks[{index}]"
+    if not isinstance(chk, dict):
+        raise ScenarioValidationError(where, "check must be an object")
+    kind = chk.get("check")
+    if not isinstance(kind, str) or kind not in _CHECKS:
+        raise ScenarioValidationError(
+            f"{where}.check", f"unknown check {kind!r}; known: {', '.join(CHECK_NAMES)}"
+        )
+    expect = chk.get("expect", "pass")
+    if expect not in _EXPECTED_STATUSES:
+        raise ScenarioValidationError(f"{where}.expect", f"must be one of {_EXPECTED_STATUSES}")
+    entry = _CHECKS[kind]
+    if entry.target == "measure" and "measure" in chk:
+        target = _lookup(scn._measures, chk["measure"], f"{where}.measure", "measure")
+    elif "sequence" in chk:
+        target = _lookup(scn._sequences, chk["sequence"], f"{where}.sequence", "sequence")
+        if entry.target == "measure":
+            target = target.limit
+    elif entry.target == "measure":
+        raise ScenarioValidationError(where, "needs a 'measure' or 'sequence' parameter")
+    else:
+        raise ScenarioValidationError(f"{where}.sequence", "required parameter missing")
+    spec = dict(entry.params)
+    if entry.grid:
+        spec.update({k: (coerce, grid[k]) for k, (coerce, _) in _GRID_PARAMS.items()})
+    skip = _META_KEYS | _TARGET_KEYS[entry.target]
+    params = _coerce(spec, {k: v for k, v in chk.items() if k not in skip}, where)
+    if entry.validate is not None:
+        entry.validate(params, where)
+    if entry.grid:
+        params["ratio"] = params.pop("grid_ratio")
+    return _Check(str(chk.get("id") or f"{index:02d}_{kind}"), kind, expect, target, params)
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
@@ -269,409 +663,22 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         raise ScenarioValidationError("checks", "must be a nonempty list")
     if not isinstance(config, dict):
         raise ScenarioValidationError("config", "must be an object")
-    for key, seq in sequences.items():
-        if not isinstance(seq, dict) or "template" not in seq:
-            raise ScenarioValidationError(f"sequences.{key}", "needs a template")
-        for extra in set(seq) - {"template", "limit", "exceptional"}:
-            raise ScenarioValidationError(f"sequences.{key}.{extra}", "unknown field")
+    grid = _coerce(_GRID_PARAMS, config, "config")
     scn = Scenario(name, measures, sequences, checks, config)
+    for key, obj in measures.items():
+        scn._measures[key] = _fixed_measure(obj, f"measures.{key}")
+    for key, spec in sequences.items():
+        scn._sequences[key] = _sequence(scn, key, spec)
+    ids = set()
     for i, chk in enumerate(checks):
-        where = f"checks[{i}]"
-        if not isinstance(chk, dict):
-            raise ScenarioValidationError(where, "check must be an object")
-        kind = chk.get("check")
-        if kind not in _RUNNERS:
+        prepared = _prepare(scn, i, chk, grid)
+        if prepared.check_id in ids:
             raise ScenarioValidationError(
-                f"{where}.check",
-                f"unknown check {kind!r}; known: {', '.join(sorted(_RUNNERS))}",
+                f"checks[{i}].id", f"duplicate check id {prepared.check_id!r}"
             )
-        expect = chk.get("expect", "pass")
-        if expect not in _EXPECTED_STATUSES:
-            raise ScenarioValidationError(
-                f"{where}.expect", f"must be one of {_EXPECTED_STATUSES}"
-            )
-    # touch every named measure and sequence once so structural errors
-    # (including template expressions) surface at load, not mid-run
-    for key in measures:
-        scn.measure(key)
-    for key in sequences:
-        scn.sequence(key)
+        ids.add(prepared.check_id)
+        scn._checks.append(prepared)
     return scn
-
-
-# -- check runners --------------------------------------------------------
-
-
-def _common_kwargs(scn: Scenario, params: dict) -> dict:
-    cfg = scn.config
-    out = {}
-    out["n_max"] = int(params.get("n_max", cfg.get("n_max", 10_000)))
-    out["ratio"] = float(params.get("grid_ratio", cfg.get("grid_ratio", 2.0)))
-    out["band"] = float(params.get("band", cfg.get("band", 0.1)))
-    return out
-
-
-def _need(params: dict, key: str, where: str) -> Any:
-    if key not in params:
-        raise ScenarioValidationError(f"{where}.{key}", "required parameter missing")
-    return params[key]
-
-
-def _target_measure(scn: Scenario, params: dict, where: str) -> SignedMeasure:
-    if "measure" in params:
-        return scn.measure(params["measure"])
-    if "sequence" in params:
-        seq = scn.sequence(params["sequence"])
-        if seq.limit is None:
-            raise ScenarioValidationError(f"{where}.sequence", "sequence has no limit")
-        return seq.limit
-    raise ScenarioValidationError(where, "needs a 'measure' or 'sequence' parameter")
-
-
-def _run_transform_table(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    lambdas = [float(v) for v in _need(params, "lambdas", where)]
-    tol = float(params.get("tol", 1e-9))
-    include_abs = bool(params.get("include_abs", False))
-    expected = {float(e["lam"]): float(e["value"]) for e in params.get("expected", [])}
-    table = []
-    devs = []
-    for lam in lambdas:
-        row = {"lam": lam, "psi": laplace_transform(m, lam)}
-        if include_abs:
-            row["psi_abs"] = abs_transform_value(m, lam)
-        if lam in expected:
-            row["expected"] = expected[lam]
-            row["abs_error"] = abs(row["psi"] - expected[lam])
-            devs.append(row["abs_error"])
-        table.append(row)
-    if expected and set(expected) - set(lambdas):
-        raise ScenarioValidationError(
-            f"{where}.expected", "expected values for arguments missing from lambdas"
-        )
-    stat = max(devs) if devs else 0.0
-    from .convergence import classify
-
-    return VerdictReport(
-        check="transform_table",
-        status=classify(stat, tol) if devs else "pass",
-        statistics={"max_abs_error": stat} if devs else {},
-        tolerances={"tol": tol} if devs else {},
-        table=tuple(table),
-    )
-
-
-def _run_membership(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    verdict = check_membership(m)
-    return VerdictReport(
-        check="membership",
-        status="pass" if verdict.status == "member" else (
-            "fail" if verdict.status == "not_member" else "inconclusive"
-        ),
-        notes=(f"{verdict.status}: {verdict.detail}",),
-    )
-
-
-def _run_norm(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    value = m.norm()
-    stats = {"norm": value}
-    from .convergence import classify
-
-    if "expected" in params:
-        expected = params["expected"]
-        if expected == "inf":
-            status = "pass" if math.isinf(value) else "fail"
-            stats["expected"] = math.inf
-        else:
-            tol = float(params.get("tol", 1e-9))
-            err = abs(value - float(expected))
-            stats["expected"] = float(expected)
-            stats["abs_error"] = err
-            status = classify(err, tol)
-    else:
-        status = "pass"
-    return VerdictReport(check="norm", status=status, statistics=stats)
-
-
-def _run_tilt_identity(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    eps_spec = params.get("eps", [0.5, 1.0])
-    if isinstance(eps_spec, (int, float)):
-        eps_spec = [eps_spec]
-    eps_grid = [float(v) for v in eps_spec]
-    lambdas = [float(v) for v in params.get("lambdas", [0.25, 1.0, 4.0])]
-    tol = float(params.get("tol", 1e-10))
-    worst = 0.0
-    table = []
-    for eps in eps_grid:
-        for lam in lambdas:
-            r = tilt_identity_residual(m, eps, lam)
-            worst = max(worst, r)
-            table.append({"eps": eps, "lam": lam, "residual": r})
-    from .convergence import classify
-
-    return VerdictReport(
-        check="tilt_identity",
-        status=classify(worst, tol),
-        statistics={"max_residual": worst},
-        tolerances={"tol": tol},
-        table=tuple(table),
-    )
-
-
-def _run_laplace_convergence(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    seq = scn.sequence(_need(params, "sequence", where))
-    return laplace_convergence_test(
-        seq,
-        [float(v) for v in _need(params, "lambdas", where)],
-        tol=float(params.get("tol", 1e-6)),
-        **_common_kwargs(scn, params),
-    )
-
-
-def _run_vague(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    seq = scn.sequence(_need(params, "sequence", where))
-    centers = params.get("centers")
-    return vague_test(
-        seq,
-        centers=[float(c) for c in centers] if centers is not None else None,
-        width=float(params["width"]) if "width" in params else None,
-        tol=float(params.get("tol", 1e-6)),
-        **_common_kwargs(scn, params),
-    )
-
-
-def _run_bounded(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    seq = scn.sequence(_need(params, "sequence", where))
-    return bounded_laplace_test(
-        seq,
-        [float(v) for v in _need(params, "lambdas", where)],
-        cap=float(params["cap"]) if "cap" in params else None,
-        slope_tol=float(params.get("slope_tol", 1e-3)),
-        **_common_kwargs(scn, params),
-    )
-
-
-def _run_equicontinuity(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    seq = scn.sequence(_need(params, "sequence", where))
-    kwargs = _common_kwargs(scn, params)
-    if "h_grid" in params:
-        kwargs["h_grid"] = [float(h) for h in params["h_grid"]]
-    return right_equicontinuity_test(
-        seq,
-        float(_need(params, "point", where)),
-        epsilon=float(params.get("epsilon", 0.05)),
-        **kwargs,
-    )
-
-
-def _run_distribution(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    seq = scn.sequence(_need(params, "sequence", where))
-    exclude: tuple[float, ...] = ()
-    if params.get("use_exceptional", False):
-        exclude = seq.exceptional
-    return distribution_convergence_test(
-        seq,
-        [float(p) for p in _need(params, "points", where)],
-        tol=float(params.get("tol", 0.02)),
-        exclude=exclude,
-        **_common_kwargs(scn, params),
-    )
-
-
-def _run_continuity_point(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    return continuity_point_test(m, float(_need(params, "point", where)),
-                                 atol=float(params.get("atol", 0.0)))
-
-
-def _run_part_domination(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    seq = scn.sequence(_need(params, "sequence", where))
-    return part_domination_test(
-        seq,
-        [float(v) for v in _need(params, "lambdas", where)],
-        delta=float(params.get("delta", 0.1)),
-        **_common_kwargs(scn, params),
-    )
-
-
-def _run_forward(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    seq = scn.sequence(_need(params, "sequence", where))
-    kwargs = _common_kwargs(scn, params)
-    if "h_grid" in params:
-        kwargs["h_grid"] = [float(h) for h in params["h_grid"]]
-    return continuity_forward(
-        seq,
-        float(_need(params, "point", where)),
-        [float(v) for v in _need(params, "lambdas", where)],
-        psi_tol=float(params.get("psi_tol", 1e-6)),
-        F_tol=float(params.get("F_tol", 0.02)),
-        epsilon=float(params.get("epsilon", 0.05)),
-        skip_equicontinuity=bool(params.get("skip_equicontinuity", False)),
-        **kwargs,
-    )
-
-
-def _run_backward(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    seq = scn.sequence(_need(params, "sequence", where))
-    return continuity_backward(
-        seq,
-        [float(p) for p in _need(params, "points", where)],
-        [float(v) for v in _need(params, "lambdas", where)],
-        psi_tol=float(params.get("psi_tol", 1e-6)),
-        F_tol=float(params.get("F_tol", 0.02)),
-        **_common_kwargs(scn, params),
-    )
-
-
-def _grid_params(params: dict) -> dict:
-    out = {}
-    if "tau_grid" in params:
-        out["tau_grid"] = [float(v) for v in params["tau_grid"]]
-    if "t_grid" in params:
-        out["t_grid"] = [float(v) for v in params["t_grid"]]
-    if "ratio_points" in params:
-        out["ratio_points"] = [float(v) for v in params["ratio_points"]]
-    return out
-
-
-def _run_rv_transform(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    g = _grid_params(params)
-    g.pop("t_grid", None)
-    est = rv_index_from_transform(m, **g)
-    declared = float(params["declared"]) if "declared" in params else None
-    return rv_report(est, declared=declared, rho_tol=float(params.get("rho_tol", 0.05)),
-                     check="rv_index_transform")
-
-
-def _run_rv_distribution(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    g = _grid_params(params)
-    g.pop("tau_grid", None)
-    est = rv_index_from_distribution(
-        m, window_decades=float(params.get("window_decades", 1.0)), **g
-    )
-    declared = float(params["declared"]) if "declared" in params else None
-    return rv_report(est, declared=declared, rho_tol=float(params.get("rho_tol", 0.05)),
-                     check="rv_index_distribution")
-
-
-def _run_sign_ratio(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    kwargs = {}
-    if "tau_grid" in params:
-        kwargs["tau_grid"] = [float(v) for v in params["tau_grid"]]
-    return sign_ratio_condition(m, floor=float(params.get("floor", 0.01)), **kwargs)
-
-
-def _run_window_increment(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    points = params.get("points")
-    if points is None:
-        points = [params.get("point", 1.0)]
-    reports = []
-    for x in points:
-        kwargs = {}
-        if "tau_grid" in params:
-            kwargs["tau_grid"] = [float(v) for v in params["tau_grid"]]
-        if "h_grid" in params:
-            kwargs["h_grid"] = [float(v) for v in params["h_grid"]]
-        reports.append(window_increment_condition(
-            m, float(x), ceiling=float(params.get("ceiling", 0.05)), **kwargs
-        ))
-    if len(reports) == 1:
-        return reports[0]
-    from .convergence import _worst
-
-    worst = max(reports, key=lambda r: r.statistics["max_small_window_stat"])
-    return VerdictReport(
-        check="window_increment_condition",
-        status=_worst(r.status for r in reports),
-        statistics=dict(worst.statistics),
-        tolerances=dict(worst.tolerances),
-        table=tuple(
-            {"point": float(x), "max_small_window_stat": r.statistics["max_small_window_stat"]}
-            for x, r in zip(points, reports)
-        ),
-    )
-
-
-def _run_asymptotic_ratio(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    kwargs = {}
-    if "t_grid" in params:
-        kwargs["t_grid"] = [float(v) for v in params["t_grid"]]
-    return asymptotic_ratio(
-        m, float(_need(params, "rho", where)),
-        window_decades=float(params.get("window_decades", 1.0)),
-        tol=float(params.get("tol", 0.02)),
-        **kwargs,
-    )
-
-
-def _run_slow_variation(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    g = _grid_params(params)
-    g.pop("tau_grid", None)
-    return slow_variation_diagnostic(
-        m, float(_need(params, "rho", where)),
-        tol=float(params.get("tol", 0.01)),
-        window_decades=float(params.get("window_decades", 1.0)),
-        **g,
-    )
-
-
-def _run_pipeline(scn: Scenario, params: dict, where: str) -> VerdictReport:
-    m = _target_measure(scn, params, where)
-    direction = params.get("direction", "psi_to_F")
-    cfg_fields = {
-        f: params[f]
-        for f in (
-            "rho", "rho_tol", "floor", "ceiling", "psi_tol", "F_tol", "ratio_tol",
-            "sv_tol", "epsilon", "n_max", "grid_ratio", "band",
-            "integrated_tail_start", "window_decades",
-        )
-        if f in params
-    }
-    for key in ("tau_grid", "t_grid", "ratio_points", "eval_points", "lambdas", "h_grid"):
-        if key in params:
-            cfg_fields[key] = tuple(float(v) for v in params[key])
-    scn_common = _common_kwargs(scn, params)
-    cfg_fields.setdefault("n_max", scn_common["n_max"])
-    cfg_fields.setdefault("grid_ratio", scn_common["ratio"])
-    cfg_fields.setdefault("band", scn_common["band"])
-    return karamata_pipeline(m, direction, KaramataConfig(**cfg_fields))
-
-
-_RUNNERS: dict[str, Callable[[Scenario, dict, str], VerdictReport]] = {
-    "transform_table": _run_transform_table,
-    "membership": _run_membership,
-    "norm": _run_norm,
-    "tilt_identity": _run_tilt_identity,
-    "laplace_convergence": _run_laplace_convergence,
-    "vague": _run_vague,
-    "bounded_laplace": _run_bounded,
-    "right_equicontinuity": _run_equicontinuity,
-    "distribution_convergence": _run_distribution,
-    "continuity_point": _run_continuity_point,
-    "part_domination": _run_part_domination,
-    "continuity_forward": _run_forward,
-    "continuity_backward": _run_backward,
-    "rv_index_transform": _run_rv_transform,
-    "rv_index_distribution": _run_rv_distribution,
-    "sign_ratio_condition": _run_sign_ratio,
-    "window_increment_condition": _run_window_increment,
-    "asymptotic_ratio": _run_asymptotic_ratio,
-    "slow_variation": _run_slow_variation,
-    "karamata_pipeline": _run_pipeline,
-}
-
-CHECK_NAMES = tuple(sorted(_RUNNERS))
-
-_META_KEYS = {"check", "expect", "id"}
 
 
 # -- execution ------------------------------------------------------------
@@ -784,19 +791,21 @@ def _json_safe(obj: Any) -> Any:
     return obj
 
 
-def _execute_one(scn: Scenario, index: int, chk: dict) -> CheckOutcome:
-    kind = chk["check"]
-    check_id = str(chk.get("id") or f"{index:02d}_{kind}")
-    expect = chk.get("expect", "pass")
-    params = {k: v for k, v in chk.items() if k not in _META_KEYS}
+def _execute_one(chk: _Check, n_max: int | None, tol: float | None) -> CheckOutcome:
+    entry = _CHECKS[chk.kind]
+    params = dict(chk.params)
+    if n_max is not None and entry.grid:
+        params["n_max"] = int(n_max)
+    if tol is not None and entry.tol_key is not None:
+        params[entry.tol_key] = float(tol)
     started = time.perf_counter()
     try:
-        report = _RUNNERS[kind](scn, params, f"checks[{index}]")
-        return CheckOutcome(check_id, kind, expect, report, None,
+        report = entry.run(chk.target, **params)
+        return CheckOutcome(chk.check_id, chk.kind, chk.expect, report, None,
                             time.perf_counter() - started)
     except Exception as exc:  # noqa: BLE001 -- checks must not kill the run
         return CheckOutcome(
-            check_id, kind, expect, None,
+            chk.check_id, chk.kind, chk.expect, None,
             f"{type(exc).__name__}: {exc}",
             time.perf_counter() - started,
         )
@@ -810,31 +819,15 @@ def run_scenario(
     """Execute every check in declaration order; errors are captured per
     check, never raised.
 
-    n_max/tol override the scenario config and per-check `tol` parameters
-    (for checks that define one).
+    n_max overrides the index ceiling of every check that walks an index
+    grid; tol overrides the parameter the check table marks as a check's
+    primary tolerance (for the checks that have one).
     """
     config = dict(scn.config)
     if n_max is not None:
         config["n_max"] = int(n_max)
-    checks = []
-    for chk in scn.checks:
-        chk = dict(chk)
-        if n_max is not None:
-            chk["n_max"] = int(n_max)
-        if tol is not None and "tol" in _runner_tols(chk["check"]):
-            chk["tol"] = float(tol)
-        checks.append(chk)
-    scn_run = Scenario(scn.name, scn.measures, scn.sequences, checks, config)
-    outcomes = [_execute_one(scn_run, i, c) for i, c in enumerate(checks)]
+    outcomes = [_execute_one(chk, n_max, tol) for chk in scn._checks]
     return RunReport(scn.name, outcomes, config)
-
-
-def _runner_tols(kind: str) -> set[str]:
-    # checks whose primary tolerance is spelled "tol"
-    return {"tol"} if kind in {
-        "transform_table", "norm", "tilt_identity", "laplace_convergence",
-        "vague", "distribution_convergence", "asymptotic_ratio", "slow_variation",
-    } else set()
 
 
 def _slug(name: str) -> str:

@@ -47,6 +47,7 @@ from .convergence import (
     index_grid,
     laplace_convergence_test,
     right_equicontinuity_test,
+    _sweep,
     _worst,
 )
 from .decomposition import certified_nonnegative, total_variation
@@ -530,54 +531,6 @@ class KaramataConfig:
     window_decades: float = 1.0
 
 
-def _equicontinuity_sweep(
-    family: MeasureSequence, cfg: KaramataConfig
-) -> VerdictReport:
-    reports = {
-        x: right_equicontinuity_test(
-            family, x, epsilon=cfg.epsilon, h_grid=cfg.h_grid,
-            n_max=cfg.n_max, ratio=cfg.grid_ratio, band=cfg.band,
-        )
-        for x in cfg.eval_points
-    }
-    worst_x = max(reports, key=lambda x: reports[x].statistics["best_window_stat"])
-    table = tuple(
-        {"point": x, "best_window_stat": r.statistics["best_window_stat"]}
-        for x, r in sorted(reports.items())
-    )
-    return VerdictReport(
-        check="rescaled_equicontinuity",
-        status=_worst(r.status for r in reports.values()),
-        statistics={"max_best_window_stat": reports[worst_x].statistics["best_window_stat"]},
-        tolerances={"epsilon": cfg.epsilon, "band": cfg.band},
-        witnesses=reports[worst_x].witnesses,
-        table=table,
-    )
-
-
-def _window_sweep(measure: SignedMeasure, cfg: KaramataConfig) -> VerdictReport:
-    reports = {
-        x: window_increment_condition(
-            measure, x, h_grid=cfg.h_grid, tau_grid=cfg.tau_grid,
-            ceiling=cfg.ceiling, band=cfg.band,
-        )
-        for x in cfg.eval_points
-    }
-    worst_x = max(reports, key=lambda x: reports[x].statistics["max_small_window_stat"])
-    table = tuple(
-        {"point": x, "max_small_window_stat": r.statistics["max_small_window_stat"]}
-        for x, r in sorted(reports.items())
-    )
-    return VerdictReport(
-        check="window_increment_condition",
-        status=_worst(r.status for r in reports.values()),
-        statistics=dict(reports[worst_x].statistics),
-        tolerances={"ceiling": cfg.ceiling, "band": cfg.band},
-        witnesses=reports[worst_x].witnesses,
-        table=table,
-    )
-
-
 def karamata_pipeline(
     measure: SignedMeasure,
     direction: str = "psi_to_F",
@@ -605,7 +558,14 @@ def karamata_pipeline(
                                   band=cfg.band, check="rv_index_transform"))
         children.append(sign_ratio_condition(measure, cfg.tau_grid, cfg.floor,
                                              band=cfg.band))
-        children.append(_window_sweep(measure, cfg))
+        children.append(_sweep(
+            "window_increment_condition", cfg.eval_points,
+            lambda x: window_increment_condition(
+                measure, x, h_grid=cfg.h_grid, tau_grid=cfg.tau_grid,
+                ceiling=cfg.ceiling, band=cfg.band,
+            ),
+            "max_small_window_stat",
+        ))
         family = rescaled_family(measure, rho=rho)
         children.append(laplace_convergence_test(
             family, cfg.lambdas, n_max=cfg.n_max, ratio=cfg.grid_ratio,
@@ -615,7 +575,17 @@ def karamata_pipeline(
             family, cfg.lambdas, n_max=cfg.n_max, ratio=cfg.grid_ratio,
             band=cfg.band,
         ))
-        children.append(_equicontinuity_sweep(family, cfg))
+        equicontinuity = _sweep(
+            "rescaled_equicontinuity", cfg.eval_points,
+            lambda x: right_equicontinuity_test(
+                family, x, epsilon=cfg.epsilon, h_grid=cfg.h_grid,
+                n_max=cfg.n_max, ratio=cfg.grid_ratio, band=cfg.band,
+            ),
+            "best_window_stat",
+        )
+        children.append(replace(equicontinuity, statistics={
+            "max_best_window_stat": equicontinuity.statistics["best_window_stat"],
+        }))
         children.append(distribution_convergence_test(
             family, cfg.eval_points, n_max=cfg.n_max, ratio=cfg.grid_ratio,
             tol=cfg.F_tol, band=cfg.band, exclude=family.exceptional,

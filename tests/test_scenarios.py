@@ -12,6 +12,7 @@ import pytest
 
 import tauber.cli
 from tauber import (
+    CHECK_NAMES,
     ScenarioValidationError,
     load_scenario,
     run_scenario,
@@ -311,3 +312,169 @@ def test_console_script_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# --tol override
+# ---------------------------------------------------------------------------
+
+TOL_KINDS = {"transform_table", "norm", "tilt_identity", "laplace_convergence", "vague",
+             "distribution_convergence", "asymptotic_ratio", "slow_variation"}
+
+
+def test_tol_override_replaces_tol_of_exactly_eight_kinds():
+    doc = tiny_scenario()
+    doc["checks"] = [
+        {"check": "transform_table", "measure": "expo", "lambdas": [1.0],
+         "expected": [{"lam": 1.0, "value": 0.5}], "tol": 1e-9},
+        {"check": "norm", "measure": "pair", "expected": 1.5005, "tol": 1e-12},
+        {"check": "tilt_identity", "measure": "pair", "lambdas": [1.0]},
+        {"check": "laplace_convergence", "sequence": "shrink", "lambdas": [1.0]},
+        {"check": "vague", "sequence": "shrink"},
+        {"check": "distribution_convergence", "sequence": "shrink", "points": [0.5, 2.0]},
+        {"check": "asymptotic_ratio", "measure": "expo", "rho": 0.0},
+        {"check": "slow_variation", "measure": "expo", "rho": 0.0},
+        {"check": "bounded_laplace", "sequence": "shrink", "lambdas": [1.0],
+         "slope_tol": 0.01, "cap": 3.0},
+        {"check": "window_increment_condition", "measure": "expo", "point": 1.0,
+         "ceiling": 0.07},
+        {"check": "continuity_forward", "sequence": "shrink", "point": 2.0,
+         "lambdas": [1.0], "psi_tol": 1e-3, "F_tol": 0.04},
+    ]
+    scn = load_scenario(doc)
+    plain = {o.kind: o for o in run_scenario(scn).outcomes}
+    overridden = {o.kind: o for o in run_scenario(scn, tol=0.123).outcomes}
+    assert all(o.error is None for o in overridden.values())
+    for kind in TOL_KINDS - {"norm"}:
+        assert overridden[kind].report.tolerances["tol"] == 0.123, kind
+        assert plain[kind].report.tolerances["tol"] != 0.123, kind
+    # norm reports no tolerances: |1.5 - 1.5005| fails 1e-12 and passes 0.123
+    assert (plain["norm"].status, overridden["norm"].status) == ("fail", "pass")
+    for kind in set(overridden) - TOL_KINDS:
+        assert overridden[kind].report.to_dict() == plain[kind].report.to_dict(), kind
+    assert overridden["bounded_laplace"].report.tolerances == {
+        "slope_tol": 0.01, "cap": 3.0, "band": 0.1}
+    assert overridden["window_increment_condition"].report.tolerances["ceiling"] == 0.07
+    forward = overridden["continuity_forward"].report
+    assert forward.child("laplace_convergence").tolerances["tol"] == 1e-3
+    assert forward.child("distribution_convergence").tolerances["tol"] == 0.04
+
+
+# ---------------------------------------------------------------------------
+# load-time validation through the check table
+# ---------------------------------------------------------------------------
+
+def test_unknown_check_parameter_is_rejected_at_load():
+    doc = json.loads((DATA / "signed_dipole.json").read_text())
+    doc["checks"][1]["centres"] = [7.0]  # the vague check; its key is "centers"
+    with pytest.raises(ScenarioValidationError) as e:
+        load_scenario(doc)
+    assert e.value.field == "checks[1].centres"
+    assert "centers" in str(e.value)  # the known parameters are listed
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda d: d["checks"][4].pop("lambdas"), "checks[4].lambdas"),
+    (lambda d: d["checks"][4].update(lambdas="abc"), "checks[4].lambdas"),
+    (lambda d: d["checks"][4].update(lambdas=[1.0, "x"]), "checks[4].lambdas"),
+    (lambda d: d["checks"][3].update(eps=[]), "checks[3].eps"),
+    (lambda d: d["checks"][4].update(tol=[1e-3]), "checks[4].tol"),
+    (lambda d: d.update(config={"n_max": "lots"}), "config.n_max"),
+    (lambda d: d.update(config={"n_max": 64, "nmax": 128}), "config.nmax"),
+    (lambda d: [d["checks"][i].update(id="a") for i in (2, 3)], "checks[3].id"),
+    (lambda d: d["checks"][1]["expected"].append({"lam": 5.0, "value": 0.1}),
+     "checks[1].expected"),
+    (lambda d: d["checks"][1].update(expected=[{"lam": 1.0}]), "checks[1].expected"),
+    (lambda d: d["checks"][1].update(include_abs="yes"), "checks[1].include_abs"),
+    (lambda d: d["checks"][0].update(measure="ghost"), "checks[0].measure"),
+    (lambda d: d["checks"][4].update(sequence="ghost"), "checks[4].sequence"),
+    (lambda d: d["checks"][4].pop("sequence"), "checks[4].sequence"),
+    (lambda d: d["checks"].append({"check": "karamata_pipeline", "measure": "expo",
+                                   "direction": "sideways"}), "checks[5].direction"),
+], ids=["missing-lambdas", "lambdas-string", "lambdas-entry", "eps-empty", "tol-list",
+        "n_max-string", "unknown-config-key", "duplicate-id", "expected-outside-lambdas",
+        "expected-entry", "bool-string", "unknown-measure", "unknown-sequence",
+        "missing-sequence", "unknown-direction"])
+def test_parameter_errors_surface_at_load(mutate, field):
+    doc = tiny_scenario()
+    mutate(doc)
+    with pytest.raises(ScenarioValidationError) as e:
+        load_scenario(doc)
+    assert e.value.field == field
+
+
+def test_templates_are_parsed_once_at_load(monkeypatch):
+    import ast
+
+    doc = json.loads((DATA / "mollified_delta.json").read_text())
+    doc["config"] = {**doc["config"], "n_max": 100_000_000, "grid_ratio": 1.25}
+    calls = []
+    parse = ast.parse
+    monkeypatch.setattr(ast, "parse", lambda *a, **k: calls.append(a) or parse(*a, **k))
+    scn = load_scenario(doc)
+    assert len(calls) == 2  # the template's two {"expr"} leaves
+    report = run_scenario(scn)
+    assert len(calls) == 2
+    assert report.exit_code == 0
+
+
+def test_check_table_calls_library_functions_through_module_globals(monkeypatch):
+    # a tracer rebinds the library names in tauber.scenarios; every kind must
+    # reach its function through that binding, not through a captured object
+    from tauber import convergence, scenarios, tauberian, transforms
+
+    library = {getattr(m, name) for m in (convergence, tauberian, transforms)
+               for name in m.__all__}
+    called = set()
+    for name, value in list(vars(scenarios).items()):
+        if callable(value) and value in library:
+            def spy(*a, _name=name, _fn=value, **k):
+                called.add(_name)
+                return _fn(*a, **k)
+            monkeypatch.setattr(scenarios, name, spy)
+    path = Path(__file__).parent / "scenarios" / "every_check_kind.json"
+    report = run_scenario(load_scenario(path))
+    assert report.exit_code == 0
+    assert called >= {
+        "laplace_convergence_test", "vague_test", "bounded_laplace_test",
+        "right_equicontinuity_test", "distribution_convergence_test",
+        "continuity_point_test", "part_domination_test", "continuity_forward",
+        "continuity_backward", "rv_index_from_transform", "rv_index_from_distribution",
+        "rv_report", "sign_ratio_condition", "window_increment_condition",
+        "asymptotic_ratio", "slow_variation_diagnostic", "karamata_pipeline",
+        "laplace_transform", "abs_transform_value", "check_membership",
+        "tilt_identity_residual", "classify",
+    }
+
+
+def test_window_increment_points_sweep_sorts_and_keeps_the_worst_witness():
+    doc = tiny_scenario()
+    doc["measures"]["flip"] = {
+        "atoms": [{"x": 1.0, "w": 1.0}, {"x": 3.0, "w": -0.5}], "segments": []}
+    doc["checks"] = [{"check": "window_increment_condition", "measure": "flip",
+                      "points": [4.0, 1.0, 2.0], "ceiling": 0.05,
+                      "tau_grid": [1.0, 0.5], "h_grid": [1.0, 0.5],
+                      "expect": "fail"}]
+    report = run_scenario(load_scenario(doc)).outcomes[0].report
+    assert report.status == "fail"
+    assert [row["point"] for row in report.table] == [1.0, 2.0, 4.0]
+    worst = max(report.table, key=lambda row: row["max_small_window_stat"])
+    assert report.statistics["point"] == worst["point"]
+    assert report.statistics["max_small_window_stat"] == worst["max_small_window_stat"]
+    assert report.witnesses and report.witnesses[0]["value"] == worst["max_small_window_stat"]
+
+
+def test_readme_lists_every_check_kind_and_parameter():
+    from tauber.scenarios import _CHECKS, _GRID_PARAMS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip().strip("`"): line
+            for line in readme.splitlines() if line.startswith("| `")}
+    for kind in CHECK_NAMES:
+        assert kind in rows, f"README has no row for {kind}"
+        entry = _CHECKS[kind]
+        names = list(entry.params) + (list(_GRID_PARAMS) if entry.grid else [])
+        for name in names:
+            assert f"`{name}`" in rows[kind], f"README row for {kind} omits {name}"
+        if entry.tol_key is not None:
+            assert rows[kind].rstrip(" |").endswith(f"`{entry.tol_key}`"), kind
