@@ -5,7 +5,9 @@ subintervals of constant density sign.  On bounded intervals this is a
 frequency-aware sampling pass (8 samples per period of the top frequency,
 at least 1000) followed by bisection of each sign-change bracket to
 1e-12 relative.  Root pairs closer than a sample step fall between two
-samples and are missed.
+samples and are missed.  A density whose terms are all plain (no cos or
+sin) with coefficients of one sign has that sign on all of (0, inf), so
+its one run, the whole segment, needs no sampling (`_plain_sign`).
 
 A segment with many brackets bisects them all together: each step
 evaluates every live midpoint in one numpy call (`_bisect_roots`), with
@@ -31,8 +33,9 @@ detects and describes.
 Both results depend on the segment alone, and the convergence checks and
 Karamata pipelines query the same measures across whole grids of lambda,
 so each is computed once per `DensitySegment` object and kept in the
-segment's private `_memo` slot (`_memo` below); `transforms` keeps its
-per-lambda total-variation values there too.  The memo lives and dies
+segment's private `_memo` slot (`measures._memo`, the helper that also
+fills each measure's memo); `transforms` keeps its per-lambda
+total-variation values there too.  The memo lives and dies
 with its segment: there is no global cache to size or to clear, and an
 operation that builds fresh segments (a fresh measure, a Jordan part)
 keeps nothing alive after it.  A `SignChangeIsolationFailure` is kept as
@@ -48,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SignChangeIsolationFailure
-from .measures import Atom, DensitySegment, Expression, SignedMeasure, Term
+from .measures import Atom, DensitySegment, Expression, SignedMeasure, Term, _memo
 
 __all__ = [
     "SignRun",
@@ -243,33 +246,6 @@ def _isolate_bounded(lo: float, hi: float, expr: Expression) -> list[SignRun]:
     return runs
 
 
-def _memo(segment: DensitySegment, key, compute):
-    """compute(), computed once per segment object and key.
-
-    The values live in the segment's `_memo` dict.  A
-    `SignChangeIsolationFailure` from compute is stored as its message (no
-    memoised value is a str) and raised as a fresh exception on this and
-    every later call: a stored exception would hold its traceback, whose
-    frames hold the memo, and so make a reference cycle.  Other exceptions
-    are not stored.
-    """
-    memo = segment._memo
-    if memo is None:
-        memo = {}
-        object.__setattr__(segment, "_memo", memo)
-    if key in memo:
-        value = memo[key]
-    else:
-        try:
-            value = compute()
-        except SignChangeIsolationFailure as exc:
-            value = str(exc)
-        memo[key] = value
-    if isinstance(value, str):
-        raise SignChangeIsolationFailure(value)
-    return value
-
-
 def sign_runs(segment: DensitySegment) -> list[SignRun]:
     """Maximal constant-sign runs covering the segment.
 
@@ -284,6 +260,15 @@ def _sign_runs(segment: DensitySegment) -> list[SignRun]:
     expr = segment.density
     if expr.is_zero:
         return []
+    sign = _plain_sign(expr)
+    if sign is not None:
+        return [SignRun(segment.lo, segment.hi, sign)]
+    return _sampled_sign_runs(segment)
+
+
+def _sampled_sign_runs(segment: DensitySegment) -> list[SignRun]:
+    """Sign runs by sampling and bisection, with a certified tail."""
+    expr = segment.density
     if not segment.unbounded:
         return _isolate_bounded(segment.lo, segment.hi, expr)
     cert = eventual_sign(expr)
@@ -302,6 +287,23 @@ def _sign_runs(segment: DensitySegment) -> list[SignRun]:
     else:
         runs.append(SignRun(x_star, math.inf, tail_sign))
     return runs
+
+
+def _plain_sign(expr: Expression) -> int | None:
+    """The sign of a density whose terms are all plain with coefficients of
+    one sign, else None.
+
+    Each such term c x^p exp(-a x) has the sign of c at every x > 0, so
+    the density has it on all of (0, inf) and needs no sampling.  This
+    also holds where the terms underflow to 0.0 on a sample grid, which
+    the sampler cannot tell from a root.
+    """
+    if any(t.kind != "" for t in expr.terms):
+        return None
+    signs = {t.coefficient > 0 for t in expr.terms}
+    if len(signs) != 1:
+        return None
+    return 1 if signs.pop() else -1
 
 
 def jordan(measure: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:

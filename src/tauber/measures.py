@@ -16,6 +16,16 @@ difference of the positive- and negative-part masses when both are
 finite and +inf otherwise; for this grammar an unbounded-interval
 evaluation is finite exactly when every overlapping unbounded segment
 has strictly decaying terms.
+
+Measures and segments are immutable, and the convergence checks and
+Karamata pipelines ask the same closed-form questions of the same objects
+across whole grids.  So each owner keeps the answers it has given in a
+private `_memo` slot, filled by the one helper `_memo` below: a
+`SignedMeasure` its interval masses (hence `distribution`) and, for
+`transforms`, its signed and total-variation transform values; a
+`DensitySegment` the sign runs, periodic tail and total-variation values
+of `decomposition` and `transforms`.  A memo lives and dies with its
+owner: there is no global cache to size or to clear.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from ._integrals import power_exp_integral
-from .errors import UnrepresentableDensity
+from .errors import SignChangeIsolationFailure, UnrepresentableDensity
 
 __all__ = [
     "Atom",
@@ -45,6 +55,33 @@ def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _memo(owner, key, compute):
+    """compute(), computed once per owner object and key.
+
+    The owner is a `DensitySegment` or a `SignedMeasure`, and the values
+    live in its `_memo` dict.  A `SignChangeIsolationFailure` from compute
+    is stored as its message (no memoised value is a str) and raised as a
+    fresh exception on this and every later call: a stored exception would
+    hold its traceback, whose frames hold the memo, and so make a
+    reference cycle.  Other exceptions are not stored.
+    """
+    memo = owner._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(owner, "_memo", memo)
+    if key in memo:
+        value = memo[key]
+    else:
+        try:
+            value = compute()
+        except SignChangeIsolationFailure as exc:
+            value = str(exc)
+        memo[key] = value
+    if isinstance(value, str):
+        raise SignChangeIsolationFailure(value)
     return value
 
 
@@ -306,7 +343,7 @@ class DensitySegment:
     density: Expression
     # Per-segment results of work that depends on this segment alone (sign
     # runs, periodic tail, total-variation values), filled and read by
-    # `decomposition._memo`; outside ==, hash and repr.
+    # `_memo`; outside ==, hash and repr.
     _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -367,6 +404,10 @@ class SignedMeasure:
 
     atoms: tuple[Atom, ...] = ()
     segments: tuple[DensitySegment, ...] = ()
+    # Per-measure results of closed-form queries (interval masses, signed
+    # and total-variation transforms), filled and read by `_memo`; outside
+    # ==, hash and repr.
+    _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", _canonical_atoms(self.atoms))
@@ -419,10 +460,16 @@ class SignedMeasure:
         Returns +inf when either Jordan part of the restriction is
         infinite, which for this grammar happens exactly when b is
         infinite and some overlapping unbounded segment has a zero-decay
-        term.
+        term.  Computed once per measure object and arguments (see
+        `_memo`).
         """
         if not (0 <= a <= b):
             raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
+        a, b, include_left = float(a), float(b), bool(include_left)
+        return _memo(self, ("interval", a, b, include_left),
+                     lambda: self._interval(a, b, include_left))
+
+    def _interval(self, a: float, b: float, include_left: bool) -> float:
         acc = 0.0
         for atom in self.atoms:
             if (a < atom.location <= b) or (include_left and atom.location == a):

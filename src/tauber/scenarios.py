@@ -121,8 +121,12 @@ def _compile_expr(src: str, where: str) -> CodeType:
             raise ScenarioValidationError(
                 where, f"{type(node).__name__} not allowed in expression {src!r}"
             )
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ScenarioValidationError(where, f"non-numeric constant in {src!r}")
+        if isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)):
+                raise ScenarioValidationError(where, f"non-numeric constant in {src!r}")
+            # float arithmetic only: a huge ** overflows at once instead of
+            # building an arbitrarily large int
+            node.value = float(node.value)
         if isinstance(node, ast.Name) and node.id != "n":
             raise ScenarioValidationError(
                 where, f"only the name 'n' is allowed in expressions, got {node.id!r}"
@@ -199,7 +203,7 @@ def _template(obj: Any, indexed: bool, where: str) -> dict:
 
 def _fill(node: Any, n: int | None) -> Any:
     if isinstance(node, CodeType):
-        return float(eval(node, {"__builtins__": {}}, {"n": n}))
+        return float(eval(node, {"__builtins__": {}}, {"n": float(n)}))
     if isinstance(node, dict):
         return {k: _fill(v, n) for k, v in node.items()}
     if isinstance(node, list):

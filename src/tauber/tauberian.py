@@ -164,13 +164,7 @@ def rv_index_from_distribution(
         raise ValueError("t grid must be positive")
     t_max = ts[-1]
     window = [t for t in ts if t >= t_max / 10.0 ** window_decades]
-    fvals: dict[float, float] = {}
-
-    def F(t: float) -> float:
-        if t not in fvals:
-            fvals[t] = measure.distribution(t)
-        return fvals[t]
-
+    F = measure.distribution
     signs = {math.copysign(1.0, F(t)) for t in window if F(t) != 0.0}
     if len(signs) != 1 or any(F(t) == 0.0 for t in window):
         raise SignChangeNearInfinity(
@@ -335,11 +329,11 @@ def window_increment_condition(
         if v == 0.0:
             raise ZeroTransform(f"transform vanishes at tau={t}")
         psis[t] = v
+    base = {t: measure.distribution(x / t) for t in taus}
     inner = {}
     for h in hs:
         vals = [
-            abs(measure.distribution((x + h) / t) - measure.distribution(x / t))
-            / abs(psis[t])
+            abs(measure.distribution((x + h) / t) - base[t]) / abs(psis[t])
             for t in taus
         ]
         est = TailEstimate.from_values(list(range(1, len(taus) + 1)), vals, tail_fraction)

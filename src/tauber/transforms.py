@@ -18,11 +18,15 @@ computed per segment through three tiers:
 Tier 3 is the only inexact path and reports its error bound.  It is also
 the only path that needs scipy.integrate, which `quad` imports on first use.
 
-A segment's value depends on the segment and on (lam, allow_quadrature,
-abs_tol) alone, and the convergence checks and Karamata pipelines ask for
-the same segments at the same lam many times, so `_abs_segment` keeps each
-(value, error_bound) in the segment's memo (`decomposition._memo`), for
-every tier.  The memo lives as long as the segment object does.
+The convergence checks and Karamata pipelines ask for the same measures
+and segments at the same lam many times, so both transforms are memoised
+with `measures._memo`: `laplace_transform` keeps each value, and
+`abs_transform` each `TransformValue`, in the measure's memo, keyed by
+the arguments the computation uses; below it, `_abs_segment` keeps each
+segment's (value, error_bound) in the segment's memo, for every tier, so
+a segment shared by two measures is not integrated twice.  A memo lives
+as long as its owner does.  `DivergentTransform` is raised afresh on
+every call: the lam check runs before the lookup.
 """
 
 from __future__ import annotations
@@ -31,14 +35,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .decomposition import (
-    PeriodicTail,
-    _memo,
-    periodic_tail_structure,
-    sign_runs,
-)
+from .decomposition import PeriodicTail, periodic_tail_structure, sign_runs
 from .errors import DivergentTransform, SignChangeIsolationFailure
-from .measures import DensitySegment, SignedMeasure, Term
+from .measures import DensitySegment, SignedMeasure, Term, _memo
 
 __all__ = [
     "TransformValue",
@@ -78,10 +77,15 @@ def laplace_transform(measure: SignedMeasure, lam: float) -> float:
     """Signed transform value at lam, in closed form.
 
     Raises DivergentTransform when an unbounded segment is not damped
-    (needs lam + decay > 0 for each of its terms).
+    (needs lam + decay > 0 for each of its terms).  Computed once per
+    measure object and lam (see `measures._memo`).
     """
     lam = float(lam)
     _check_convergent(measure, lam)
+    return _memo(measure, ("laplace", lam), lambda: _laplace(measure, lam))
+
+
+def _laplace(measure: SignedMeasure, lam: float) -> float:
     acc = math.fsum(a.weight * math.exp(-lam * a.location) for a in measure.atoms)
     for seg in measure.segments:
         acc += seg.density.integral(seg.lo, seg.hi, extra_decay=lam)
@@ -286,8 +290,20 @@ def abs_transform(
     Exact whenever each segment admits sign-run isolation or a periodic
     tail structure; otherwise falls back to certified quadrature (unless
     disallowed).  Returns +inf (exactly) when |mu|'s transform diverges.
+    Computed once per measure object and argument triple (see
+    `measures._memo`), on top of the per-segment values.
     """
-    lam = float(lam)
+    lam, allow_quadrature, abs_tol = float(lam), bool(allow_quadrature), float(abs_tol)
+    return _memo(
+        measure,
+        ("abs", lam, allow_quadrature, abs_tol),
+        lambda: _abs_measure(measure, lam, allow_quadrature, abs_tol),
+    )
+
+
+def _abs_measure(
+    measure: SignedMeasure, lam: float, allow_quadrature: bool, abs_tol: float
+) -> TransformValue:
     value = math.fsum(abs(a.weight) * math.exp(-lam * a.location) for a in measure.atoms)
     err = 0.0
     for seg in measure.segments:

@@ -15,6 +15,7 @@ from tauber import (
     Expression,
     SignChangeIsolationFailure,
     SignedMeasure,
+    SignRun,
     Term,
     abs_transform,
     certified_nonnegative,
@@ -290,6 +291,58 @@ def test_certified_nonnegative_on_random_positive_measures(rng):
 
 
 # ---------------------------------------------------------------------------
+# one-signed plain densities: sign without sampling
+# ---------------------------------------------------------------------------
+
+@given(
+    sign=st.sampled_from([1.0, -1.0]),
+    terms=st.lists(
+        st.tuples(
+            st.floats(1e-3, 1e3),                                  # |coefficient|
+            st.floats(-1.0, 6.0, exclude_min=True),                # power
+            st.floats(0.0, 5.0),                                   # decay
+        ),
+        min_size=1, max_size=4,
+    ),
+    lo=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    width=st.one_of(st.just(math.inf), st.floats(1e-3, 50.0)),
+)
+@settings(max_examples=N_PROPERTY_CASES, deadline=None)
+def test_one_signed_plain_density_runs_equal_the_sampled_runs(sign, terms, lo, width):
+    expr = Expression(tuple(Term(sign * c, p, a) for c, p, a in terms))
+    seg = DensitySegment(lo, lo + width, expr)
+    runs = sign_runs(seg)
+    assert runs == [SignRun(seg.lo, seg.hi, int(sign))]
+    try:
+        sampled = decomposition._sampled_sign_runs(seg)
+    except SignChangeIsolationFailure:
+        return  # e.g. every sample underflows to 0.0: the shortcut still knows
+    assert runs == sampled
+
+
+def test_one_signed_density_that_underflows_on_the_sample_grid():
+    # exp(-800 x) is below the smallest double from x ~ 0.93 on, so every
+    # sample on [1, 2] reads 0.0, which the sampler takes for a root
+    m = SignedMeasure.from_density((Term(1.0, 0.0, 800.0),), lo=1.0, hi=2.0)
+    (seg,) = m.segments
+    with pytest.raises(SignChangeIsolationFailure):
+        decomposition._sampled_sign_runs(seg)
+    assert sign_runs(seg) == [SignRun(1.0, 2.0, 1)]
+    assert certified_nonnegative(m)
+    pos, neg = jordan(m)
+    assert pos == m and neg.is_zero
+
+
+def test_mixed_signs_and_oscillation_still_sample(isolations):
+    for expr in (Expression((Term(1.0, 1.0), Term(-5.0))),
+                 Expression((Term(2.0), Term(1.0, 0.0, 0.0, "cos", 1.0)))):
+        sign_runs(DensitySegment(0.0, 10.0, expr))
+    assert len(isolations) == 2
+    sign_runs(DensitySegment(0.0, 10.0, Expression((Term(2.0), Term(1.0, 2.0, 1.0)))))
+    assert len(isolations) == 2
+
+
+# ---------------------------------------------------------------------------
 # periodic tail structure
 # ---------------------------------------------------------------------------
 
@@ -432,14 +485,14 @@ def test_filled_memo_leaves_equality_hash_and_repr_alone():
 
 
 def test_scenario_run_leaves_no_cyclic_garbage():
-    path = (pathlib.Path(__file__).parents[1] / "src" / "tauber" / "data"
-            / "oscillatory_index_two.json")
-    run_scenario(load_scenario(path))  # first-use imports and caches
-    gc.collect()
-    gc.disable()
-    try:
-        # a fresh load: fresh segments, whose memos start empty
-        assert run_scenario(load_scenario(path)).exit_code == 0
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    data = pathlib.Path(__file__).parents[1] / "src" / "tauber" / "data"
+    for path in sorted(data.glob("*.json")):
+        run_scenario(load_scenario(path))  # first-use imports and caches
+        gc.collect()
+        gc.disable()
+        try:
+            # a fresh load: fresh measures and segments, whose memos start empty
+            assert run_scenario(load_scenario(path)).exit_code == 0
+            assert gc.collect() == 0, path.name
+        finally:
+            gc.enable()

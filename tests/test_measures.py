@@ -1,6 +1,6 @@
 """Core measure algebra: construction, canonicalisation, interval masses,
 distribution functions, the operation closure (tilt/scale/add/restrict/
-integrated tail) and the JSON wire format."""
+integrated tail), the JSON wire format and the per-measure memo."""
 
 import math
 
@@ -9,13 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tauber.measures
 from tauber import (
     Atom,
     DensitySegment,
+    DivergentTransform,
     Expression,
     SignedMeasure,
     Term,
     UnrepresentableDensity,
+    abs_transform,
+    abs_transform_value,
+    laplace_transform,
 )
 
 INF = math.inf
@@ -312,3 +317,88 @@ def test_canonical_form_is_order_independent():
     a = SignedMeasure.point_mass(1.0) + SignedMeasure.point_mass(2.0)
     b = SignedMeasure.point_mass(2.0) + SignedMeasure.point_mass(1.0)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# per-measure memo
+# ---------------------------------------------------------------------------
+
+def memo_measure():
+    # an atom, a bounded segment with two sign changes and a decaying tail
+    return SignedMeasure(
+        atoms=(Atom(0.5, 2.0),),
+        segments=(
+            DensitySegment(0.0, 10.0, Expression((Term(1.0, 0.0, 0.0, "cos", 1.0),))),
+            DensitySegment(10.0, INF, Expression((Term(1.0, 1.0, 0.5),))),
+        ),
+    )
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts `power_exp_integral` calls made through `Expression.integral`."""
+    calls = []
+    kernel = tauber.measures.power_exp_integral
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(tauber.measures, "power_exp_integral", counted)
+    return calls
+
+
+@pytest.mark.parametrize("query", [
+    lambda m: m.distribution(3.0),
+    lambda m: m.interval(1.0, INF),
+    lambda m: laplace_transform(m, 0.7),
+    lambda m: abs_transform(m, 0.7),
+    lambda m: abs_transform_value(m, 0.0),
+], ids=["distribution", "interval", "laplace", "abs", "norm-value"])
+def test_repeat_query_on_the_same_measure_makes_no_kernel_call(kernel_calls, query):
+    m = memo_measure()
+    first = query(m)
+    made = len(kernel_calls)
+    assert made > 0
+    assert query(m) == first
+    assert len(kernel_calls) == made
+    assert query(memo_measure()) == first  # the memo belongs to the object
+    assert len(kernel_calls) == 2 * made
+
+
+def test_memo_keys_on_the_values_the_computation_uses(kernel_calls):
+    m = memo_measure()
+    assert laplace_transform(m, 1) == laplace_transform(m, np.float64(1.0))
+    assert m.distribution(np.float64(3.0)) == m.distribution(3)
+    made = len(kernel_calls)
+    laplace_transform(m, 1.0)
+    m.interval(0.0, 3.0, include_left=1)
+    assert len(kernel_calls) == made
+    laplace_transform(m, 2.0)  # another lam is another query
+    assert len(kernel_calls) > made
+
+
+def test_errors_are_raised_on_every_call_and_never_stored():
+    flat = SignedMeasure.from_density((Term(1.0),), lo=0.0)  # undamped tail
+    m = memo_measure()
+    for _ in range(3):
+        with pytest.raises(DivergentTransform):
+            laplace_transform(flat, 0.0)
+        with pytest.raises(ValueError):
+            m.interval(2.0, 1.0)
+        with pytest.raises(ValueError):
+            m.distribution(-1.0)
+    assert flat._memo is None and m._memo is None
+    assert laplace_transform(flat, 1.0) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_filled_measure_memo_leaves_equality_hash_repr_and_wire_format_alone():
+    m, fresh = memo_measure(), memo_measure()
+    m.distribution(3.0)
+    laplace_transform(m, 0.7)
+    abs_transform(m, 0.7)
+    assert m._memo and fresh._memo is None
+    assert m == fresh
+    assert hash(m) == hash(fresh)
+    assert repr(m) == repr(fresh)
+    assert m.to_dict() == fresh.to_dict()

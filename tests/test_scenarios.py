@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,20 @@ def test_expr_refused_outside_templates():
     with pytest.raises(ScenarioValidationError) as e:
         load_scenario(doc)
     assert "only allowed inside sequence templates" in str(e.value)
+
+
+def test_huge_power_in_template_fails_at_load_without_stalling():
+    # in integer arithmetic this builds two million-digit ints at load and
+    # again at every index; in floats it overflows at once
+    doc = json.loads((DATA / "signed_dipole.json").read_text())
+    doc["sequences"]["dipole"]["template"]["atoms"][1]["w"] = {
+        "expr": "10**10**6 / 10**10**6"}
+    start = time.perf_counter()
+    with pytest.raises(ScenarioValidationError) as e:
+        load_scenario(doc)
+    assert time.perf_counter() - start < 0.25
+    assert e.value.field == "sequences.dipole.template"
+    assert isinstance(e.value.__cause__, OverflowError)
 
 
 def test_sequence_limit_forms():
@@ -416,6 +431,20 @@ def test_templates_are_parsed_once_at_load(monkeypatch):
     report = run_scenario(scn)
     assert len(calls) == 2
     assert report.exit_code == 0
+
+
+def test_oscillatory_index_two_makes_at_most_6000_kernel_calls(monkeypatch):
+    # 14,610 without the per-measure memo: two thirds of the closed-form
+    # integrals repeated a query already answered on the same measure
+    import tauber.measures
+
+    calls = []
+    kernel = tauber.measures.power_exp_integral
+    monkeypatch.setattr(tauber.measures, "power_exp_integral",
+                        lambda *a: calls.append(a) or kernel(*a))
+    report = run_scenario(load_scenario(DATA / "oscillatory_index_two.json"))
+    assert report.exit_code == 0
+    assert 0 < len(calls) <= 6000
 
 
 def test_check_table_calls_library_functions_through_module_globals(monkeypatch):
