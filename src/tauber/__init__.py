@@ -75,11 +75,9 @@ from .tauberian import (
     window_increment_condition,
 )
 from .transforms import (
-    MembershipVerdict,
     TransformValue,
     abs_transform,
     abs_transform_value,
-    check_membership,
     envelope_transform,
     laplace_transform,
     quadrature_transform,
@@ -99,9 +97,9 @@ __all__ = [
     "SignRun", "PeriodicTail", "eventual_sign", "sign_runs", "jordan",
     "total_variation", "certified_nonnegative", "periodic_tail_structure",
     # transforms
-    "TransformValue", "MembershipVerdict", "quadrature_transform",
-    "laplace_transform", "abs_transform", "abs_transform_value",
-    "envelope_transform", "check_membership", "tilt_identity_residual",
+    "TransformValue", "quadrature_transform", "laplace_transform",
+    "abs_transform", "abs_transform_value", "envelope_transform",
+    "tilt_identity_residual",
     # convergence
     "MeasureSequence", "TailEstimate", "VerdictReport", "index_grid",
     "classify", "hat_integral", "vague_test", "laplace_convergence_test",

@@ -45,7 +45,7 @@ __all__ = [
 
 DEFAULT_N_MAX = 10_000
 DEFAULT_RATIO = 2.0
-DEFAULT_TAIL_FRACTION = 0.25
+TAIL_FRACTION = 0.25  # share of a grid, at its end, that forms the tail window
 DEFAULT_BAND = 0.10
 DEFAULT_H_GRID = tuple(0.5 ** k for k in range(1, 11))
 DEFAULT_EPSILON = 0.05
@@ -86,6 +86,11 @@ def index_grid(n_max: int = DEFAULT_N_MAX, ratio: float = DEFAULT_RATIO) -> tupl
     return tuple(sorted(out))
 
 
+def tail_start(length: int) -> int:
+    """Position where the tail window of a grid of `length` points begins."""
+    return min(length - 1, int(math.floor(length * (1.0 - TAIL_FRACTION))))
+
+
 @dataclass(frozen=True, slots=True)
 class TailEstimate:
     """Statistics of one scalar sequence sampled on the index grid."""
@@ -104,13 +109,12 @@ class TailEstimate:
         cls,
         indices: Sequence[int],
         values: Sequence[float],
-        tail_fraction: float = DEFAULT_TAIL_FRACTION,
     ) -> "TailEstimate":
         idx = tuple(int(i) for i in indices)
         vals = tuple(float(v) for v in values)
         if not idx or len(idx) != len(vals):
             raise ValueError("indices and values must be nonempty and aligned")
-        k0 = min(len(idx) - 1, int(math.floor(len(idx) * (1.0 - tail_fraction))))
+        k0 = tail_start(len(idx))
         tail = vals[k0:]
         finite = [v for v in tail if math.isfinite(v)]
         if len(finite) == len(tail) and len(tail) >= 2:
@@ -147,12 +151,7 @@ def classify(stat: float, tol: float, band: float = DEFAULT_BAND) -> str:
 
 
 def _worst(statuses: Iterable[str]) -> str:
-    order = {"pass": 0, "inconclusive": 1, "fail": 2}
-    worst = "pass"
-    for s in statuses:
-        if order[s] > order[worst]:
-            worst = s
-    return worst
+    return max(statuses, key=("pass", "inconclusive", "fail").index, default="pass")
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,7 +275,6 @@ def _deviation_test(
     n_max: int,
     ratio: float,
     tol: float,
-    tail_fraction: float,
     band: float,
 ) -> VerdictReport:
     """Track functional(mu_n, p) - functional(limit, p) over the index grid
@@ -297,7 +295,7 @@ def _deviation_test(
     for p in probes:
         target = functional(limit, p)
         devs = [functional(seq.measure(n), p) - target for n in grid]
-        est = TailEstimate.from_values(grid, devs, tail_fraction)
+        est = TailEstimate.from_values(grid, devs)
         estimates[p] = est
         table.append({
             key: p,
@@ -342,7 +340,6 @@ def vague_test(
     n_max: int = DEFAULT_N_MAX,
     ratio: float = DEFAULT_RATIO,
     tol: float = 1e-6,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
     band: float = DEFAULT_BAND,
 ) -> VerdictReport:
     """Vague convergence against hat test functions.
@@ -364,7 +361,7 @@ def vague_test(
             width = 0.5
     report = _deviation_test(
         "vague_convergence", seq, centers, lambda m, c: hat_integral(m, c, width),
-        "center", n_max, ratio, tol, tail_fraction, band,
+        "center", n_max, ratio, tol, band,
     )
     return _with_max_tail(replace(
         report, table=tuple({**row, "width": width} for row in report.table),
@@ -377,7 +374,6 @@ def laplace_convergence_test(
     n_max: int = DEFAULT_N_MAX,
     ratio: float = DEFAULT_RATIO,
     tol: float = 1e-6,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
     band: float = DEFAULT_BAND,
 ) -> VerdictReport:
     """Pointwise transform convergence psi_n(lam) -> psi_limit(lam)."""
@@ -386,7 +382,7 @@ def laplace_convergence_test(
         raise ValueError("transform grid must contain positive values")
     return _with_max_tail(_deviation_test(
         "laplace_convergence", seq, lambdas, laplace_transform,
-        "lam", n_max, ratio, tol, tail_fraction, band,
+        "lam", n_max, ratio, tol, band,
     ))
 
 
@@ -397,7 +393,6 @@ def bounded_laplace_test(
     ratio: float = DEFAULT_RATIO,
     cap: float | None = None,
     slope_tol: float = 1e-3,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
     band: float = DEFAULT_BAND,
 ) -> VerdictReport:
     """Uniform boundedness of the total-variation transforms.
@@ -419,7 +414,7 @@ def bounded_laplace_test(
     worst_tail = 0.0
     for lam in lambdas:
         vals = [abs_transform(seq.measure(n), lam).value for n in grid]
-        est = TailEstimate.from_values(grid, vals, tail_fraction)
+        est = TailEstimate.from_values(grid, vals)
         scale = max(1.0, abs(est.tail_mean)) if math.isfinite(est.tail_mean) else 1.0
         growth = est.slope / scale if math.isfinite(est.slope) else math.inf
         worst_growth = max(worst_growth, growth)
@@ -460,7 +455,6 @@ def right_equicontinuity_test(
     h_grid: Sequence[float] = DEFAULT_H_GRID,
     n_max: int = DEFAULT_N_MAX,
     ratio: float = DEFAULT_RATIO,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
     band: float = DEFAULT_BAND,
 ) -> VerdictReport:
     """Uniform right-continuity at a point across the whole sequence.
@@ -480,14 +474,8 @@ def right_equicontinuity_test(
     argmax_by_delta = {}
     for delta in h_grid:
         vals = [abs(seq.measure(n).interval(x, x + delta)) for n in grid]
-        est = TailEstimate.from_values(grid, vals, tail_fraction)
-        stat_by_delta[delta] = est.tail_max
-        argmax_by_delta[delta] = grid[
-            est.tail_start + max(
-                range(len(grid) - est.tail_start),
-                key=lambda i: vals[est.tail_start + i],
-            )
-        ]
+        k = max(range(tail_start(len(grid)), len(grid)), key=vals.__getitem__)
+        stat_by_delta[delta], argmax_by_delta[delta] = vals[k], grid[k]
     # worst violation within each candidate window
     m_by_h = {
         h: max(stat_by_delta[d] for d in h_grid if d <= h) for h in h_grid
@@ -522,7 +510,6 @@ def distribution_convergence_test(
     n_max: int = DEFAULT_N_MAX,
     ratio: float = DEFAULT_RATIO,
     tol: float = 0.02,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
     band: float = DEFAULT_BAND,
     exclude: Sequence[float] = (),
 ) -> VerdictReport:
@@ -539,7 +526,7 @@ def distribution_convergence_test(
         raise ValueError("no evaluation points remain after exclusions")
     report = _deviation_test(
         "distribution_convergence", seq, pts, SignedMeasure.distribution,
-        "point", n_max, ratio, tol, tail_fraction, band,
+        "point", n_max, ratio, tol, band,
     )
     if not excluded:
         return report
@@ -569,7 +556,6 @@ def part_domination_test(
     delta: float = 0.1,
     n_max: int = DEFAULT_N_MAX,
     ratio: float = DEFAULT_RATIO,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
     band: float = DEFAULT_BAND,
 ) -> VerdictReport:
     """One Jordan part uniformly dominated: part-transform ratio < delta
@@ -581,8 +567,7 @@ def part_domination_test(
     """
     lambdas = tuple(float(v) for v in lambdas)
     grid = index_grid(n_max, ratio)
-    k0 = min(len(grid) - 1, int(math.floor(len(grid) * (1.0 - tail_fraction))))
-    tail_ns = grid[k0:]
+    tail_ns = grid[tail_start(len(grid)):]
     worst_minus = 0.0   # neg dominated by pos
     worst_plus = 0.0    # pos dominated by neg
     rows = []
@@ -600,7 +585,7 @@ def part_domination_test(
     orientation = "negative-part dominated" if worst_minus <= worst_plus else "positive-part dominated"
     status = classify(stat, delta, band)
     bounded = bounded_laplace_test(
-        seq, lambdas, n_max=n_max, ratio=ratio, tail_fraction=tail_fraction, band=band
+        seq, lambdas, n_max=n_max, ratio=ratio, band=band
     )
     notes = (f"orientation: {orientation}",)
     if status == "pass" and bounded.status == "fail":
@@ -641,11 +626,7 @@ def _implication_report(
         hyp_word = "inconclusive"
     else:
         hyp_word = "pass"
-        status = {
-            "pass": "pass",
-            "inconclusive": "inconclusive",
-            "fail": "fail",  # hypotheses hold but the conclusion breaks
-        }[conclusion.status]
+        status = conclusion.status  # hypotheses hold: a broken conclusion fails
     pattern = f"hypotheses-{hyp_word}, conclusion-{conclusion.status}"
     return VerdictReport(
         check=check,

@@ -42,10 +42,12 @@ class ScenarioParseError(ScenarioError):
     """Scenario file is not valid JSON."""
 
 
-class ScenarioValidationError(ScenarioError):
-    """Scenario JSON is well-formed but violates the schema.
+class ScenarioValidationError(ScenarioError, ValueError):
+    """Scenario JSON, or a measure object in the wire format, is well-formed
+    but violates the schema.
 
-    Carries the dotted path of the offending field.
+    Carries the dotted path of the offending field.  It is a ValueError
+    too, which is what `SignedMeasure.from_dict` has always raised.
     """
 
     def __init__(self, field: str, message: str):

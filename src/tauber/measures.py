@@ -33,12 +33,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from ._integrals import power_exp_integral
-from .errors import SignChangeIsolationFailure, UnrepresentableDensity
+from .errors import (
+    ScenarioValidationError,
+    SignChangeIsolationFailure,
+    UnrepresentableDensity,
+)
 
 __all__ = [
     "Atom",
@@ -56,6 +60,13 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
+
+
+def _json_number(value: Any, path: str) -> float:
+    """The default leaf of `SignedMeasure.from_dict`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioValidationError(path, f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _memo(owner, key, compute):
@@ -687,35 +698,74 @@ class SignedMeasure:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SignedMeasure":
-        if not isinstance(data, dict):
-            raise ValueError("measure must be a JSON object")
-        atoms = []
-        for i, entry in enumerate(data.get("atoms", [])):
-            try:
-                atoms.append(Atom(float(entry["x"]), float(entry["w"])))
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"atoms[{i}]: expected fields x, w ({exc})") from exc
+    def from_dict(
+        cls,
+        data: Any,
+        leaf: Callable[[Any, str], float] = _json_number,
+        where: str = "measure",
+    ) -> "SignedMeasure":
+        """Parse the wire format of `to_dict`; the package's one parser of a
+        measure object (README, "Wire format").  Each numeric leaf is
+        `leaf(value, dotted_path)`, by default a JSON number.  Any fault
+        raises ScenarioValidationError, a ValueError, naming its dotted path
+        below `where`: a bad leaf its field, a value a constructor refuses
+        its atom, term or segment.
+        """
+        _fields(data, where, ("atoms", "segments"))
+        atoms = [
+            _build(p, Atom, leaf(e.get("x"), f"{p}.x"), leaf(e.get("w"), f"{p}.w"))
+            for p, e in _entries(data, "atoms", where, ("x", "w"))
+        ]
         segments = []
-        for i, entry in enumerate(data.get("segments", [])):
-            try:
-                lo = float(entry["lo"])
-                hi = math.inf if entry["hi"] is None else float(entry["hi"])
-                terms = [_term_from_dict(t) for t in entry["terms"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"segments[{i}]: {exc}") from exc
-            segments.append(DensitySegment(lo, hi, Expression(tuple(terms))))
-        return cls(tuple(atoms), tuple(segments))
+        for p, e in _entries(data, "segments", where, ("lo", "hi", "terms")):
+            lo = leaf(e.get("lo"), f"{p}.lo")
+            hi = math.inf if e.get("hi") is None else leaf(e["hi"], f"{p}.hi")
+            if not isinstance(e.get("terms"), list):
+                raise ScenarioValidationError(f"{p}.terms", "terms must be a list")
+            terms = tuple(_term_from_dict(t, leaf, q)
+                          for q, t in _entries(e, "terms", p, ("c", "k", "a", "osc")))
+            segments.append(_build(p, lambda: DensitySegment(lo, hi, Expression(terms))))
+        return _build(where, cls, tuple(atoms), tuple(segments))
 
 
-def _term_from_dict(entry: dict) -> Term:
-    osc = entry.get("osc")
+def _fields(obj: Any, path: str, allowed: tuple[str, ...]) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioValidationError(path, "must be a JSON object")
+    for key in obj:
+        if key not in allowed:
+            raise ScenarioValidationError(
+                f"{path}.{key}", f"unknown field; fields are {', '.join(allowed)}"
+            )
+
+
+def _entries(parent: dict, key: str, path: str, allowed: tuple[str, ...]):
+    """(path, entry) for each object in the list parent[key] (missing or
+    null: none), each checked to have only the allowed fields."""
+    entries = parent.get(key) or []
+    if not isinstance(entries, list):
+        raise ScenarioValidationError(f"{path}.{key}", "must be a list")
+    for i, entry in enumerate(entries):
+        _fields(entry, f"{path}.{key}[{i}]", allowed)
+        yield f"{path}.{key}[{i}]", entry
+
+
+def _build(path: str, make: Callable, *args: Any) -> Any:
+    """make(*args), with a value the constructor refuses reported at path."""
+    try:
+        return make(*args)
+    except (ValueError, UnrepresentableDensity) as exc:
+        raise ScenarioValidationError(path, str(exc)) from exc
+
+
+def _term_from_dict(entry: dict, leaf: Callable[[Any, str], float], path: str) -> Term:
     kind, freq = "", 0.0
+    osc = entry.get("osc")
     if osc is not None:
-        if not isinstance(osc, dict) or len(osc) != 1:
-            raise ValueError(f"osc must be null or a single-key object, got {osc!r}")
-        kind, freq = next(iter(osc.items()))
-        if kind not in ("cos", "sin"):
-            raise ValueError(f"osc key must be 'cos' or 'sin', got {kind!r}")
-        freq = float(freq)
-    return Term(float(entry["c"]), float(entry["k"]), float(entry.get("a", 0.0)), kind, freq)
+        if not isinstance(osc, dict) or len(osc) != 1 or next(iter(osc)) not in _KINDS[1:]:
+            raise ScenarioValidationError(f"{path}.osc", 'must be null, {"cos": b} or {"sin": b}')
+        (kind, freq), = osc.items()
+        freq = leaf(freq, f"{path}.osc")
+    c = leaf(entry.get("c"), f"{path}.c")
+    k = leaf(entry.get("k", 0.0), f"{path}.k")
+    a = leaf(entry.get("a", 0.0), f"{path}.a")
+    return _build(path, Term, c, k, a, kind, freq)

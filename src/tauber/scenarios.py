@@ -14,16 +14,16 @@ A scenario is a JSON object:
       "config":    {"n_max": int, "grid_ratio": float, "band": float}
     }
 
-Measure objects use the wire format of SignedMeasure.to_dict().  Inside a
-sequence template any numeric leaf may instead be {"expr": "..."} with an
-arithmetic expression in the index n (constants, + - * / **, unary sign);
-the expression grammar is whitelisted on the AST, nothing else evaluates.
+Measure objects use the wire format of SignedMeasure.to_dict(), parsed by
+SignedMeasure.from_dict alone.  Inside a sequence template any numeric
+leaf may instead be {"expr": "..."}: arithmetic in the index n (floats,
++ - * / **, unary sign), whitelisted on the AST; nothing else evaluates.
 
 `load_scenario` does all validation: it builds every measure, compiles
-every template expression once, and coerces every check parameter through
-the check table `_CHECKS`, so a mistyped, missing or ill-typed parameter
-is a ScenarioValidationError naming its dotted path, never a run-time
-error.
+each template expression once (the leaf `_leaf`), and coerces every
+check parameter through the check table `_CHECKS`, so a bad field or
+parameter is a ScenarioValidationError naming its dotted path, never a
+run-time error.
 
 Check results keep their wall-clock timings out of the serialised report
 (console only), so repeated runs of the same scenario produce identical
@@ -35,6 +35,7 @@ when a check errors out or lands on an unexpected inconclusive.
 from __future__ import annotations
 
 import ast
+import copy
 import csv
 import io
 import json
@@ -67,7 +68,7 @@ from .convergence import (
     vague_test,
 )
 from .errors import ScenarioParseError, ScenarioValidationError
-from .measures import SignedMeasure
+from .measures import SignedMeasure, _json_number
 from .tauberian import (
     DEFAULT_RATIO_POINTS,
     DEFAULT_T_GRID,
@@ -84,7 +85,6 @@ from .tauberian import (
 )
 from .transforms import (
     abs_transform_value,
-    check_membership,
     laplace_transform,
     tilt_identity_residual,
 )
@@ -134,93 +134,28 @@ def _compile_expr(src: str, where: str) -> CodeType:
     return compile(tree, f"<{where}>", "eval")
 
 
-def _leaf(value: Any, indexed: bool, where: str) -> float | CodeType:
-    """A numeric leaf: a float, or inside a sequence template (`indexed`)
-    the compiled {"expr": ...} to evaluate at each index."""
-    if isinstance(value, dict):
-        if set(value.keys()) != {"expr"} or not isinstance(value["expr"], str):
-            raise ScenarioValidationError(where, "expected a number or {\"expr\": \"...\"}")
-        if not indexed:
-            raise ScenarioValidationError(
-                where, "index expressions are only allowed inside sequence templates"
-            )
-        return _compile_expr(value["expr"], where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(where, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _template(obj: Any, indexed: bool, where: str) -> dict:
-    """Validate a measure object once into the SignedMeasure.from_dict
-    layout, with each numeric leaf resolved by `_leaf`."""
-    if not isinstance(obj, dict):
-        raise ScenarioValidationError(where, "measure must be a JSON object")
-    for key in obj:
-        if key not in ("atoms", "segments"):
-            raise ScenarioValidationError(f"{where}.{key}", "unknown measure field")
-    plan: dict = {"atoms": [], "segments": []}
-    for i, entry in enumerate(obj.get("atoms", []) or []):
-        p = f"{where}.atoms[{i}]"
-        if not isinstance(entry, dict) or set(entry) - {"x", "w"}:
-            raise ScenarioValidationError(p, "atom needs exactly fields x, w")
-        plan["atoms"].append({
-            "x": _leaf(entry.get("x"), indexed, f"{p}.x"),
-            "w": _leaf(entry.get("w"), indexed, f"{p}.w"),
-        })
-    for i, entry in enumerate(obj.get("segments", []) or []):
-        p = f"{where}.segments[{i}]"
-        if not isinstance(entry, dict) or set(entry) - {"lo", "hi", "terms"}:
-            raise ScenarioValidationError(p, "segment needs fields lo, hi, terms")
-        hi = entry.get("hi")
-        seg = {
-            "lo": _leaf(entry.get("lo"), indexed, f"{p}.lo"),
-            "hi": None if hi is None else _leaf(hi, indexed, f"{p}.hi"),
-            "terms": [],
-        }
-        terms = entry.get("terms")
-        if not isinstance(terms, list):
-            raise ScenarioValidationError(f"{p}.terms", "terms must be a list")
-        for j, t in enumerate(terms):
-            q = f"{p}.terms[{j}]"
-            if not isinstance(t, dict) or set(t) - {"c", "k", "a", "osc"}:
-                raise ScenarioValidationError(q, "term fields are c, k, a, osc")
-            osc = t.get("osc")
-            if osc is not None:
-                if not isinstance(osc, dict) or len(osc) != 1 or next(iter(osc)) not in ("cos", "sin"):
-                    raise ScenarioValidationError(
-                        f"{q}.osc", 'osc must be null, {"cos": b} or {"sin": b}'
-                    )
-                osc = {next(iter(osc)): _leaf(next(iter(osc.values())), indexed, f"{q}.osc")}
-            seg["terms"].append({
-                "c": _leaf(t.get("c"), indexed, f"{q}.c"),
-                "k": _leaf(t.get("k", 0.0), indexed, f"{q}.k"),
-                "a": _leaf(t.get("a", 0.0), indexed, f"{q}.a"),
-                "osc": osc,
-            })
-        plan["segments"].append(seg)
-    return plan
-
-
-def _fill(node: Any, n: int | None) -> Any:
-    if isinstance(node, CodeType):
-        return float(eval(node, {"__builtins__": {}}, {"n": float(n)}))
-    if isinstance(node, dict):
-        return {k: _fill(v, n) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_fill(v, n) for v in node]
-    return node
-
-
-def _instantiate(plan: dict, n: int | None, where: str) -> SignedMeasure:
+def _leaf(codes: dict[str, CodeType] | None, n: int | None, value: Any, path: str) -> float:
+    """A numeric leaf of a measure object: a JSON number, or inside a
+    sequence template (`codes` given) an {"expr": ...} evaluated at index
+    n.  Each expression compiles once, into `codes` under its dotted path,
+    the first time the template is parsed."""
+    if not isinstance(value, dict):
+        return _json_number(value, path)
+    if set(value) != {"expr"} or not isinstance(value["expr"], str):
+        raise ScenarioValidationError(path, 'expected a number or {"expr": "..."}')
+    if codes is None:
+        raise ScenarioValidationError(
+            path, "index expressions are only allowed inside sequence templates"
+        )
+    if path not in codes:
+        codes[path] = _compile_expr(value["expr"], path)
     try:
-        return SignedMeasure.from_dict(_fill(plan, n))
-    except (ValueError, TypeError, ArithmeticError) as exc:
-        raise ScenarioValidationError(where, str(exc)) from exc
+        return float(eval(codes[path], {"__builtins__": {}}, {"n": float(n)}))
+    except (ArithmeticError, TypeError) as exc:
+        raise ScenarioValidationError(path, f"{value['expr']!r} at n = {n}: {exc}") from exc
 
 
-def _fixed_measure(obj: Any, where: str) -> SignedMeasure:
-    """A measure object outside any template: no index expressions."""
-    return _instantiate(_template(obj, False, where), None, where)
+_fixed_leaf = partial(_leaf, None, None)  # a measure outside any template
 
 
 # -- parameter coercion ---------------------------------------------------
@@ -354,17 +289,6 @@ def _expected_in_lambdas(params: dict, where: str) -> None:
         )
 
 
-def _membership(measure) -> VerdictReport:
-    verdict = check_membership(measure)
-    return VerdictReport(
-        check="membership",
-        status="pass" if verdict.status == "member" else (
-            "fail" if verdict.status == "not_member" else "inconclusive"
-        ),
-        notes=(f"{verdict.status}: {verdict.detail}",),
-    )
-
-
 def _norm(measure, expected, tol) -> VerdictReport:
     value = measure.norm()
     stats = {"norm": value}
@@ -418,7 +342,6 @@ _CHECKS: dict[str, _Kind] = {
          "include_abs": (_bool, False), "expected": (_expected_values, ())},
         _transform_table, tol_key="tol", validate=_expected_in_lambdas,
     ),
-    "membership": _Kind("measure", {}, _membership),
     "norm": _Kind(
         "measure", {"expected": (_norm_expected, None), "tol": (_number, 1e-9)},
         _norm, tol_key="tol",
@@ -585,16 +508,17 @@ def _sequence(scn: Scenario, key: str, spec: Any) -> MeasureSequence:
     elif isinstance(limit_spec, str):
         limit = _lookup(scn._measures, limit_spec, f"{where}.limit", "measure")
     else:
-        limit = _fixed_measure(limit_spec, f"{where}.limit")
+        limit = SignedMeasure.from_dict(limit_spec, _fixed_leaf, f"{where}.limit")
     exceptional = tuple(
-        _leaf(v, False, f"{where}.exceptional[{i}]")
+        _fixed_leaf(v, f"{where}.exceptional[{i}]")
         for i, v in enumerate(spec.get("exceptional", []) or [])
     )
-    plan = _template(spec["template"], True, f"{where}.template")
-    # evaluate every expression once, at a sample index, so bad ones fail at load
-    _instantiate(plan, 2, f"{where}.template")
+    # the rule parses a copy of what load validated; parsing it here, at the
+    # sample index n = 2, compiles every expression and fails a bad one now
+    template, codes, at = copy.deepcopy(spec["template"]), {}, f"{where}.template"
+    SignedMeasure.from_dict(template, partial(_leaf, codes, 2), at)
     return MeasureSequence(
-        rule=lambda n: _instantiate(plan, n, f"{where}.template"),
+        rule=lambda n: SignedMeasure.from_dict(template, partial(_leaf, codes, n), at),
         limit=limit,
         exceptional=exceptional,
         name=key,
@@ -659,18 +583,15 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     sequences = raw.get("sequences", {})
     checks = raw.get("checks", [])
     config = raw.get("config", {})
-    if not isinstance(measures, dict):
-        raise ScenarioValidationError("measures", "must be an object")
-    if not isinstance(sequences, dict):
-        raise ScenarioValidationError("sequences", "must be an object")
+    for key, value in (("measures", measures), ("sequences", sequences), ("config", config)):
+        if not isinstance(value, dict):
+            raise ScenarioValidationError(key, "must be an object")
     if not isinstance(checks, list) or not checks:
         raise ScenarioValidationError("checks", "must be a nonempty list")
-    if not isinstance(config, dict):
-        raise ScenarioValidationError("config", "must be an object")
     grid = _coerce(_GRID_PARAMS, config, "config")
     scn = Scenario(name, measures, sequences, checks, config)
     for key, obj in measures.items():
-        scn._measures[key] = _fixed_measure(obj, f"measures.{key}")
+        scn._measures[key] = SignedMeasure.from_dict(obj, _fixed_leaf, f"measures.{key}")
     for key, spec in sequences.items():
         scn._sequences[key] = _sequence(scn, key, spec)
     ids = set()

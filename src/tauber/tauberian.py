@@ -29,7 +29,7 @@ total-variation transform is available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from statistics import median
 from typing import Callable, Sequence
 
@@ -39,14 +39,13 @@ from .convergence import (
     DEFAULT_BAND,
     DEFAULT_H_GRID,
     MeasureSequence,
-    TailEstimate,
     VerdictReport,
     bounded_laplace_test,
     classify,
     distribution_convergence_test,
-    index_grid,
     laplace_convergence_test,
     right_equicontinuity_test,
+    tail_start,
     _sweep,
     _worst,
 )
@@ -139,8 +138,7 @@ def rv_index_from_transform(
         raise ValueError("ratio points must contain a positive value != 1")
     rho = float(median(per_ratio.values()))
     dispersion = max(abs(v - rho) for v in per_ratio.values())
-    k0 = max(0, int(math.floor(len(taus) * 0.75)))
-    small = taus[k0:]
+    small = taus[tail_start(len(taus)):]
     slope = float(np.polyfit(
         np.log(small), np.log([abs(psis[t]) for t in small]), 1,
     )[0]) if len(small) >= 2 else math.nan
@@ -230,7 +228,6 @@ def sign_ratio_condition(
     measure: SignedMeasure,
     tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
     floor: float = 0.01,
-    tail_fraction: float = 0.25,
     band: float = DEFAULT_BAND,
 ) -> VerdictReport:
     """Non-cancellation near zero: |psi(tau)| stays above `floor` times an
@@ -271,10 +268,7 @@ def sign_ratio_condition(
             pass
         ratios.append(ratio)
         table.append(row)
-    est = TailEstimate.from_values(
-        list(range(1, len(taus) + 1)), ratios, tail_fraction,
-    )
-    stat = est.tail_min
+    stat = min(ratios[tail_start(len(ratios)):])
     # pass when comfortably above the floor; the band flips orientation
     if math.isnan(stat):
         status = "inconclusive"
@@ -305,7 +299,6 @@ def window_increment_condition(
     h_grid: Sequence[float] = DEFAULT_H_GRID,
     tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
     ceiling: float = 0.05,
-    tail_fraction: float = 0.25,
     band: float = DEFAULT_BAND,
 ) -> VerdictReport:
     """Distribution increments over shrinking windows stay small relative
@@ -336,10 +329,8 @@ def window_increment_condition(
             abs(measure.distribution((x + h) / t) - base[t]) / abs(psis[t])
             for t in taus
         ]
-        est = TailEstimate.from_values(list(range(1, len(taus) + 1)), vals, tail_fraction)
-        inner[h] = est.tail_max
-    k0 = min(len(hs) - 1, int(math.floor(len(hs) * (1.0 - tail_fraction))))
-    small_hs = hs[k0:]
+        inner[h] = max(vals[tail_start(len(vals)):])
+    small_hs = hs[tail_start(len(hs)):]
     stat = max(inner[h] for h in small_hs)
     status = classify(stat, ceiling, band)
     witnesses = ()

@@ -25,8 +25,9 @@ with `measures._memo`: `laplace_transform` keeps each value, and
 the arguments the computation uses; below it, `_abs_segment` keeps each
 segment's (value, error_bound) in the segment's memo, for every tier, so
 a segment shared by two measures is not integrated twice.  A memo lives
-as long as its owner does.  `DivergentTransform` is raised afresh on
-every call: the lam check runs before the lookup.
+as long as its owner does.  `DivergentTransform`, and the ValueError for
+a NaN lam, are raised afresh on every call: the lam checks run before the
+lookup.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ __all__ = [
     "envelope_transform",
     "tilt_identity_residual",
     "quadrature_transform",
-    "MembershipVerdict",
-    "check_membership",
 ]
 
 DEFAULT_ABS_TOL = 1e-10
@@ -62,6 +61,15 @@ class TransformValue:
 
     value: float
     error_bound: float
+
+
+def _lam(lam: float) -> float:
+    """lam as a float; a NaN is refused before it reaches a memo, where,
+    unequal to itself, it would add a new entry on every call."""
+    lam = float(lam)
+    if math.isnan(lam):
+        raise ValueError("lam must not be NaN")
+    return lam
 
 
 def _check_convergent(measure: SignedMeasure, lam: float) -> None:
@@ -80,7 +88,7 @@ def laplace_transform(measure: SignedMeasure, lam: float) -> float:
     (needs lam + decay > 0 for each of its terms).  Computed once per
     measure object and lam (see `measures._memo`).
     """
-    lam = float(lam)
+    lam = _lam(lam)
     _check_convergent(measure, lam)
     return _memo(measure, ("laplace", lam), lambda: _laplace(measure, lam))
 
@@ -96,7 +104,7 @@ def envelope_transform(measure: SignedMeasure, lam: float) -> float:
     """Transform of the pointwise envelope measure: an upper bound for the
     total-variation transform (atoms at |w|, densities replaced by their
     amplitude envelopes).  Returns +inf when the envelope is not damped."""
-    lam = float(lam)
+    lam = _lam(lam)
     acc = math.fsum(abs(a.weight) * math.exp(-lam * a.location) for a in measure.atoms)
     for seg in measure.segments:
         env = seg.density.envelope()
@@ -167,14 +175,18 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-def _truncation_point(seg: DensitySegment, lam: float, budget: float) -> float:
-    """T with envelope tail integral over [T, inf) below budget."""
+def _truncation_point(seg: DensitySegment, lam: float, abs_tol: float) -> tuple[float, float]:
+    """(T, tail): where a segment's quadrature ends and a bound on the rest;
+    (hi, 0) when bounded, else the first T whose envelope tail integral
+    over [T, inf) is at most abs_tol/2."""
+    if not seg.unbounded:
+        return seg.hi, 0.0
     env = seg.density.envelope()
     t = max(seg.lo, 1.0)
     while t < _TRUNCATION_CAP:
         tail = env.integral(t, math.inf, extra_decay=lam)
-        if tail <= budget:
-            return t
+        if tail <= 0.5 * abs_tol:
+            return t, tail
         t *= 2.0
     raise SignChangeIsolationFailure(
         f"cannot certify a truncation point below {_TRUNCATION_CAP} for "
@@ -187,12 +199,7 @@ def _quad_abs_segment(
 ) -> tuple[float, float]:
     """Quadrature of |density| * exp(-lam x); returns (value, error_bound)."""
     expr = seg.density
-    if seg.unbounded:
-        hi = _truncation_point(seg, lam, 0.5 * abs_tol)
-        tail_err = expr.envelope().integral(hi, math.inf, extra_decay=lam)
-    else:
-        hi = seg.hi
-        tail_err = 0.0
+    hi, tail_err = _truncation_point(seg, lam, abs_tol)
     b_max = expr.max_freq
     chunk = min(hi - seg.lo, max(1.0, math.pi / b_max) if b_max > 0 else hi - seg.lo)
     n_chunks = max(1, int(math.ceil((hi - seg.lo) / chunk)))
@@ -214,12 +221,7 @@ def _quad_signed_segment(
     seg: DensitySegment, lam: float, abs_tol: float
 ) -> tuple[float, float]:
     """Term-wise quadrature of density * exp(-lam x), for `quadrature_transform`."""
-    if seg.unbounded:
-        hi = _truncation_point(seg, lam, 0.5 * abs_tol)
-        tail_err = seg.density.envelope().integral(hi, math.inf, extra_decay=lam)
-    else:
-        hi = seg.hi
-        tail_err = 0.0
+    hi, tail_err = _truncation_point(seg, lam, abs_tol)
     total, err = 0.0, 0.0
     for t in seg.density.terms:
         sigma = t.decay + lam
@@ -293,7 +295,7 @@ def abs_transform(
     Computed once per measure object and argument triple (see
     `measures._memo`), on top of the per-segment values.
     """
-    lam, allow_quadrature, abs_tol = float(lam), bool(allow_quadrature), float(abs_tol)
+    lam, allow_quadrature, abs_tol = _lam(lam), bool(allow_quadrature), float(abs_tol)
     return _memo(
         measure,
         ("abs", lam, allow_quadrature, abs_tol),
@@ -332,32 +334,6 @@ def tilt_identity_residual(measure: SignedMeasure, eps: float, lam: float) -> fl
     )
 
 
-# -- membership screening ----------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class MembershipVerdict:
-    status: str  # "member" | "not_member" | "inconclusive"
-    detail: str
-
-
-def check_membership(measure: SignedMeasure) -> MembershipVerdict:
-    """Screen a measure for admissibility: finitely many atoms on [0, inf)
-    plus locally integrable grammar densities.  Constructed instances are
-    admissible by construction, so this reports the witnessing structure;
-    the not_member/inconclusive statuses are reserved for inputs arriving
-    through deserialisation layers that bypass validation."""
-    n_unbounded = sum(1 for s in measure.segments if s.unbounded)
-    decays = sorted({s.density.min_decay for s in measure.segments if s.unbounded})
-    detail = (
-        f"{len(measure.atoms)} atom(s), {len(measure.segments)} segment(s), "
-        f"{n_unbounded} unbounded; tail decay rates {decays or 'n/a'}; "
-        "all densities are polynomial-exponential-trigonometric, hence "
-        "locally finite with finite variation on compacts"
-    )
-    return MembershipVerdict("member", detail)
-
-
 # -- quadrature cross-check ----------------------------------------------
 
 
@@ -370,7 +346,7 @@ def quadrature_transform(
     unbounded segments are truncated where the envelope tail is below
     abs_tol/2, and that tail is part of the bound.
     """
-    lam = float(lam)
+    lam = _lam(lam)
     _check_convergent(measure, lam)
     value = math.fsum(a.weight * math.exp(-lam * a.location) for a in measure.atoms)
     err = 0.0

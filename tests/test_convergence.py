@@ -24,6 +24,7 @@ from tauber import (
     right_equicontinuity_test,
     vague_test,
 )
+from tauber.convergence import tail_start
 from tests.conftest import dipole_sequence_rule, mollified_delta_rule
 
 LAMBDAS = (0.5, 1.0, 2.0)
@@ -63,16 +64,24 @@ def test_index_grid_is_geometric_and_capped():
 def test_tail_estimate_extrapolates_first_order_error():
     grid = index_grid(10000, 2.0)
     vals = [3.0 + 5.0 / n for n in grid]
-    est = TailEstimate.from_values(grid, vals, 0.25)
+    est = TailEstimate.from_values(grid, vals)
     assert est.extrapolated == pytest.approx(3.0, abs=1e-12)
     assert est.tail_max == pytest.approx(vals[est.tail_start], rel=1e-12)
     assert est.slope < 0  # decreasing toward the limit
 
 
+def test_tail_window_is_the_last_quarter_of_every_grid():
+    # the two forms tail_start replaced agree with it on every nonempty grid
+    for length in range(1, 2000):
+        k0 = tail_start(length)
+        assert k0 == min(length - 1, math.floor(length * (1.0 - 0.25)))
+        assert k0 == max(0, math.floor(length * 0.75))
+
+
 def test_tail_estimate_flags_growth():
     grid = index_grid(1000, 2.0)
     vals = [0.1 * math.log(n) + 1.0 for n in grid]
-    est = TailEstimate.from_values(grid, vals, 0.25)
+    est = TailEstimate.from_values(grid, vals)
     assert est.slope == pytest.approx(0.1, rel=1e-6)
 
 

@@ -20,7 +20,9 @@ from tauber import (
     UnrepresentableDensity,
     abs_transform,
     abs_transform_value,
+    envelope_transform,
     laplace_transform,
+    quadrature_transform,
 )
 
 INF = math.inf
@@ -390,6 +392,18 @@ def test_errors_are_raised_on_every_call_and_never_stored():
             m.distribution(-1.0)
     assert flat._memo is None and m._memo is None
     assert laplace_transform(flat, 1.0) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("transform", [
+    laplace_transform, abs_transform, envelope_transform, quadrature_transform])
+def test_nan_lam_is_refused_on_every_call_before_the_memo(transform):
+    # a NaN key is unequal to itself: a stored one would be a new entry per call
+    m = memo_measure()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="NaN"):
+            transform(m, math.nan)
+    assert m._memo is None
+    assert all(seg._memo is None for seg in m.segments)
 
 
 def test_filled_measure_memo_leaves_equality_hash_repr_and_wire_format_alone():

@@ -15,6 +15,7 @@ import tauber.cli
 from tauber import (
     CHECK_NAMES,
     ScenarioValidationError,
+    SignedMeasure,
     load_scenario,
     run_scenario,
 )
@@ -44,7 +45,8 @@ def tiny_scenario(**overrides):
             },
         },
         "checks": [
-            {"check": "membership", "measure": "expo", "expect": "pass"},
+            {"check": "continuity_point", "measure": "pair", "point": 0.5,
+             "expect": "pass"},
             {"check": "transform_table", "measure": "expo",
              "lambdas": [0.0, 1.0, 3.0],
              "expected": [{"lam": 0.0, "value": 1.0},
@@ -151,8 +153,46 @@ def test_huge_power_in_template_fails_at_load_without_stalling():
     with pytest.raises(ScenarioValidationError) as e:
         load_scenario(doc)
     assert time.perf_counter() - start < 0.25
-    assert e.value.field == "sequences.dipole.template"
+    assert e.value.field == "sequences.dipole.template.atoms[1].w"
+    assert "'10**10**6 / 10**10**6' at n = 2" in str(e.value)
     assert isinstance(e.value.__cause__, OverflowError)
+
+
+@pytest.mark.parametrize("leaf, expr, field, cause", [
+    ("w", "1/(n-2)", "sequences.dipole.template.atoms[1].w", ZeroDivisionError),
+    ("x", "-n", "sequences.dipole.template.atoms[1]", ValueError),
+], ids=["leaf-fails-at-the-sample-index", "constructor-refuses-the-value"])
+def test_template_errors_name_the_leaf_or_its_entry(leaf, expr, field, cause):
+    doc = json.loads((DATA / "signed_dipole.json").read_text())
+    doc["sequences"]["dipole"]["template"]["atoms"][1][leaf] = {"expr": expr}
+    with pytest.raises(ScenarioValidationError) as e:
+        load_scenario(doc)
+    assert e.value.field == field
+    assert type(e.value.__cause__) is cause
+    if cause is ZeroDivisionError:
+        assert f"{expr!r} at n = 2" in str(e.value)
+
+
+@pytest.mark.parametrize("measure, field", [
+    ({"atoms": [{"x": "0.5", "w": 1.0}]}, "atoms[0].x"),
+    ({"atoms": [{"x": 0.5, "w": True}]}, "atoms[0].w"),
+    ({"atoms": [{"x": 0.5, "w": 1.0, "y": 2.0}]}, "atoms[0].y"),
+    ({"segments": [{"lo": 0.0, "hi": 1.0, "terms": [{"c": 1.0, "a": 1.0}]}]}, None),
+    ({"segments": [{"lo": 0.0, "terms": [{"c": 1.0, "k": 0.0, "a": 1.0}]}]}, None),
+], ids=["string-number", "boolean", "unknown-field", "term-without-k", "segment-without-hi"])
+def test_from_dict_and_load_scenario_parse_alike(measure, field):
+    doc = tiny_scenario()
+    doc["measures"]["probe"] = measure
+    if field is None:
+        assert SignedMeasure.from_dict(measure) == load_scenario(doc).measure("probe")
+        return
+    with pytest.raises(ScenarioValidationError) as direct:
+        SignedMeasure.from_dict(measure)
+    with pytest.raises(ScenarioValidationError) as loaded:
+        load_scenario(doc)
+    assert direct.value.field == f"measure.{field}"
+    assert loaded.value.field == f"measures.probe.{field}"
+    assert isinstance(direct.value, ValueError)
 
 
 def test_sequence_limit_forms():
@@ -177,7 +217,7 @@ def test_run_tiny_scenario_all_match():
     assert rep.exit_code == 0
     # declaration order preserved
     assert [o.kind for o in rep.outcomes] == [
-        "membership", "transform_table", "norm", "tilt_identity",
+        "continuity_point", "transform_table", "norm", "tilt_identity",
         "laplace_convergence"]
 
 
@@ -471,7 +511,7 @@ def test_check_table_calls_library_functions_through_module_globals(monkeypatch)
         "continuity_backward", "rv_index_from_transform", "rv_index_from_distribution",
         "rv_report", "sign_ratio_condition", "window_increment_condition",
         "asymptotic_ratio", "slow_variation_diagnostic", "karamata_pipeline",
-        "laplace_transform", "abs_transform_value", "check_membership",
+        "laplace_transform", "abs_transform_value",
         "tilt_identity_residual", "classify",
     }
 

@@ -29,7 +29,6 @@ from tauber import (
     Term,
     abs_transform,
     abs_transform_value,
-    check_membership,
     envelope_transform,
     laplace_transform,
     quadrature_transform,
@@ -246,11 +245,3 @@ def test_tilt_semigroup(rng):
         assert m.tilted(a).tilted(b).isclose(m.tilted(a + b), rel=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# membership screening
-# ---------------------------------------------------------------------------
-
-def test_membership_is_always_member(rng):
-    assert check_membership(worked_oscillatory_measure()).status == "member"
-    for _ in range(10):
-        assert check_membership(random_measure(rng)).status == "member"
