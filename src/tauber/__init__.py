@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .convergence import (
     MeasureSequence,
-    TailEstimate,
     VerdictReport,
     bounded_laplace_test,
     classify,
@@ -42,6 +41,7 @@ from .decomposition import (
 from .errors import (
     DivergentTransform,
     MeasureError,
+    NonIntegrableTail,
     ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -77,7 +77,6 @@ from .tauberian import (
 from .transforms import (
     TransformValue,
     abs_transform,
-    abs_transform_value,
     envelope_transform,
     laplace_transform,
     quadrature_transform,
@@ -90,18 +89,17 @@ __all__ = [
     "Atom", "Term", "Expression", "DensitySegment", "SignedMeasure",
     # errors
     "MeasureError", "UnrepresentableDensity", "SignChangeIsolationFailure",
-    "DivergentTransform", "ZeroTransform", "SignChangeNearZero",
-    "SignChangeNearInfinity", "ScenarioError", "ScenarioParseError",
-    "ScenarioValidationError",
+    "DivergentTransform", "NonIntegrableTail", "ZeroTransform",
+    "SignChangeNearZero", "SignChangeNearInfinity", "ScenarioError",
+    "ScenarioParseError", "ScenarioValidationError",
     # decomposition
     "SignRun", "PeriodicTail", "eventual_sign", "sign_runs", "jordan",
     "total_variation", "certified_nonnegative", "periodic_tail_structure",
     # transforms
     "TransformValue", "quadrature_transform", "laplace_transform",
-    "abs_transform", "abs_transform_value", "envelope_transform",
-    "tilt_identity_residual",
+    "abs_transform", "envelope_transform", "tilt_identity_residual",
     # convergence
-    "MeasureSequence", "TailEstimate", "VerdictReport", "index_grid",
+    "MeasureSequence", "VerdictReport", "index_grid",
     "classify", "hat_integral", "vague_test", "laplace_convergence_test",
     "bounded_laplace_test", "right_equicontinuity_test",
     "distribution_convergence_test", "continuity_point_test",

@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DivergentTransform
+from .errors import DivergentTransform, NonIntegrableTail
 
 __all__ = ["power_exp_integral", "NonIntegrableTail"]
 
@@ -40,10 +40,6 @@ __all__ = ["power_exp_integral", "NonIntegrableTail"]
 _SERIES_CUTOFF = 0.5
 # Largest (hi-lo)/lo for which non-integer powers expand about lo instead.
 _NARROW = 0.25
-
-
-class NonIntegrableTail(ArithmeticError):
-    """Requested an integral over an unbounded interval that diverges."""
 
 
 def _int_monomial_exp_from_zero(j: int, z: complex, delta: float) -> complex:

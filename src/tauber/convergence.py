@@ -28,7 +28,6 @@ from .transforms import abs_transform, laplace_transform
 __all__ = [
     "MeasureSequence",
     "index_grid",
-    "TailEstimate",
     "classify",
     "VerdictReport",
     "hat_integral",
@@ -91,49 +90,14 @@ def tail_start(length: int) -> int:
     return min(length - 1, int(math.floor(length * (1.0 - TAIL_FRACTION))))
 
 
-@dataclass(frozen=True, slots=True)
-class TailEstimate:
-    """Statistics of one scalar sequence sampled on the index grid."""
-
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-    tail_start: int        # grid position where the tail window begins
-    tail_max: float
-    tail_min: float
-    tail_mean: float
-    slope: float           # regression slope of value against log n (tail)
-    extrapolated: float    # 1/n Richardson extrapolation, last two points
-
-    @classmethod
-    def from_values(
-        cls,
-        indices: Sequence[int],
-        values: Sequence[float],
-    ) -> "TailEstimate":
-        idx = tuple(int(i) for i in indices)
-        vals = tuple(float(v) for v in values)
-        if not idx or len(idx) != len(vals):
-            raise ValueError("indices and values must be nonempty and aligned")
-        k0 = tail_start(len(idx))
-        tail = vals[k0:]
-        finite = [v for v in tail if math.isfinite(v)]
-        if len(finite) == len(tail) and len(tail) >= 2:
-            slope = float(np.polyfit(np.log([float(i) for i in idx[k0:]]), tail, 1)[0])
-        else:
-            slope = math.inf if len(finite) < len(tail) else 0.0
-        if len(idx) >= 2 and idx[-1] != idx[-2] and all(map(math.isfinite, vals[-2:])):
-            n1, n2 = float(idx[-2]), float(idx[-1])
-            v1, v2 = vals[-2], vals[-1]
-            c = (v1 - v2) / (1.0 / n1 - 1.0 / n2)
-            extrap = v2 - c / n2
-        else:
-            extrap = vals[-1]
-        return cls(
-            idx, vals, k0,
-            max(tail), min(tail),
-            float(np.mean(tail)) if all(map(math.isfinite, tail)) else math.inf,
-            slope, extrap,
-        )
+def _extrapolated(grid: Sequence[int], vals: Sequence[float]) -> float:
+    """Limit of vals by 1/n Richardson extrapolation from the last two grid
+    points; the last value when they cannot be used."""
+    if len(grid) >= 2 and grid[-1] != grid[-2] and all(map(math.isfinite, vals[-2:])):
+        n1, n2 = float(grid[-2]), float(grid[-1])
+        c = (vals[-2] - vals[-1]) / (1.0 / n1 - 1.0 / n2)
+        return vals[-1] - c / n2
+    return vals[-1]
 
 
 def classify(stat: float, tol: float, band: float = DEFAULT_BAND) -> str:
@@ -291,29 +255,29 @@ def _deviation_test(
         raise ValueError(f"{check} needs a declared limit measure")
     grid = index_grid(n_max, ratio)
     table = []
-    estimates = {}
+    last = {}  # probe -> (deviation at the last grid index, extrapolated)
     for p in probes:
         target = functional(limit, p)
-        devs = [functional(seq.measure(n), p) - target for n in grid]
-        est = TailEstimate.from_values(grid, devs)
-        estimates[p] = est
+        devs = [float(functional(seq.measure(n), p) - target) for n in grid]
+        tail = devs[tail_start(len(grid)):]
+        last[p] = devs[-1], _extrapolated(grid, devs)
         table.append({
             key: p,
             "target": target,
-            "tail_max_abs": max(abs(est.tail_max), abs(est.tail_min)),
-            "extrapolated": est.extrapolated,
+            "tail_max_abs": max(abs(max(tail)), abs(min(tail))),
+            "extrapolated": last[p][1],
         })
-    worst = max(probes, key=lambda p: abs(estimates[p].extrapolated))
-    est = estimates[worst]
-    stat = abs(est.extrapolated)
+    worst = max(probes, key=lambda p: abs(last[p][1]))
+    deviation, extrapolated = last[worst]
+    stat = abs(extrapolated)
     status = classify(stat, tol, band)
     witnesses = ()
     if status != "pass":
         witnesses = ({
             key: worst,
-            "n": est.indices[-1],
-            "deviation": est.values[-1],
-            "extrapolated": est.extrapolated,
+            "n": grid[-1],
+            "deviation": deviation,
+            "extrapolated": extrapolated,
         },)
     return VerdictReport(
         check=check,
@@ -412,18 +376,27 @@ def bounded_laplace_test(
     witnesses = []
     worst_growth = 0.0
     worst_tail = 0.0
+    k0 = tail_start(len(grid))
+    log_n = np.log([float(n) for n in grid[k0:]])
     for lam in lambdas:
         vals = [abs_transform(seq.measure(n), lam).value for n in grid]
-        est = TailEstimate.from_values(grid, vals)
-        scale = max(1.0, abs(est.tail_mean)) if math.isfinite(est.tail_mean) else 1.0
-        growth = est.slope / scale if math.isfinite(est.slope) else math.inf
+        tail = vals[k0:]
+        tail_max = max(tail)
+        if not all(map(math.isfinite, tail)):
+            growth = math.inf
+        else:
+            # regression slope against log n, relative to the tail's size
+            slope = float(np.polyfit(log_n, tail, 1)[0]) if len(tail) >= 2 else 0.0
+            mean = float(np.mean(tail))
+            scale = max(1.0, abs(mean)) if math.isfinite(mean) else 1.0
+            growth = slope / scale if math.isfinite(slope) else math.inf
         worst_growth = max(worst_growth, growth)
-        worst_tail = max(worst_tail, est.tail_max)
+        worst_tail = max(worst_tail, tail_max)
         row_status = classify(max(growth, 0.0), slope_tol, band)
-        if not math.isfinite(est.tail_max):
+        if not math.isfinite(tail_max):
             row_status = "fail"
         if cap is not None:
-            cap_status = classify(est.tail_max, cap, band)
+            cap_status = classify(tail_max, cap, band)
             row_status = _worst([row_status, cap_status])
         statuses.append(row_status)
         if row_status != "pass":
@@ -431,8 +404,8 @@ def bounded_laplace_test(
             witnesses.append({"lam": lam, "n": grid[k], "value": vals[k], "growth_rate": growth})
         table.append({
             "lam": lam,
-            "tail_max": est.tail_max,
-            "extrapolated": est.extrapolated,
+            "tail_max": tail_max,
+            "extrapolated": _extrapolated(grid, vals),
             "growth_rate": growth,
         })
     tolerances = {"slope_tol": slope_tol, "band": band}

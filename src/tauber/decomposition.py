@@ -34,12 +34,12 @@ Both results depend on the segment alone, and the convergence checks and
 Karamata pipelines query the same measures across whole grids of lambda,
 so each is computed once per `DensitySegment` object and kept in the
 segment's private `_memo` slot (`measures._memo`, the helper that also
-fills each measure's memo); `transforms` keeps its per-lambda
-total-variation values there too.  The memo lives and dies
-with its segment: there is no global cache to size or to clear, and an
-operation that builds fresh segments (a fresh measure, a Jordan part)
-keeps nothing alive after it.  A `SignChangeIsolationFailure` is kept as
-its message and raised afresh on every later call.
+fills each measure's memo).  Values that depend on lambda are kept on
+the measure, not here.  The memo lives and dies with its segment: there
+is no global cache to size or to clear, and an operation that builds
+fresh segments (a fresh measure, a Jordan part) keeps nothing alive
+after it.  A `SignChangeIsolationFailure` is kept as its message and
+raised afresh on every later call.
 """
 
 from __future__ import annotations

@@ -20,6 +20,10 @@ class DivergentTransform(MeasureError):
     """Laplace transform requested at a point where it does not converge."""
 
 
+class NonIntegrableTail(MeasureError, ArithmeticError):
+    """Requested an integral over an unbounded interval that diverges."""
+
+
 class ZeroTransform(MeasureError):
     """A rescaling would divide by a vanishing transform value."""
 

@@ -23,9 +23,9 @@ across whole grids.  So each owner keeps the answers it has given in a
 private `_memo` slot, filled by the one helper `_memo` below: a
 `SignedMeasure` its interval masses (hence `distribution`) and, for
 `transforms`, its signed and total-variation transform values; a
-`DensitySegment` the sign runs, periodic tail and total-variation values
-of `decomposition` and `transforms`.  A memo lives and dies with its
-owner: there is no global cache to size or to clear.
+`DensitySegment` the sign runs and periodic tail of `decomposition`,
+which do not depend on the transform argument.  A memo lives and dies
+with its owner: there is no global cache to size or to clear.
 """
 
 from __future__ import annotations
@@ -62,11 +62,16 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _number(value: Any) -> float:
+    """A JSON number (not a bool) as a float; anything else is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _json_number(value: Any, path: str) -> float:
     """The default leaf of `SignedMeasure.from_dict`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(path, f"expected a number, got {value!r}")
-    return float(value)
+    return _build(path, _number, value)
 
 
 def _memo(owner, key, compute):
@@ -353,8 +358,8 @@ class DensitySegment:
     hi: float
     density: Expression
     # Per-segment results of work that depends on this segment alone (sign
-    # runs, periodic tail, total-variation values), filled and read by
-    # `_memo`; outside ==, hash and repr.
+    # runs, periodic tail), filled and read by `_memo`; outside ==, hash
+    # and repr.
     _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -450,19 +455,6 @@ class SignedMeasure:
     def is_zero(self) -> bool:
         return not self.atoms and not self.segments
 
-    def has_nondecaying_tail(self) -> bool:
-        """True when some unbounded segment carries a zero-decay term."""
-        return any(s.unbounded and s.density.min_decay == 0.0 for s in self.segments)
-
-    def support_bound(self) -> float:
-        """Upper bound of the support (inf for unbounded segments)."""
-        hi = 0.0
-        for a in self.atoms:
-            hi = max(hi, a.location)
-        for s in self.segments:
-            hi = max(hi, s.hi)
-        return hi
-
     # -- evaluation ----------------------------------------------------
 
     def interval(self, a: float, b: float, include_left: bool = False) -> float:
@@ -507,7 +499,7 @@ class SignedMeasure:
         """Total variation mass; +inf when it diverges."""
         from . import transforms  # local import to avoid a cycle
 
-        return transforms.abs_transform_value(self, 0.0)
+        return transforms.abs_transform(self, 0.0).value
 
     # -- grammar-exact transformations ---------------------------------
 
@@ -555,19 +547,6 @@ class SignedMeasure:
                 )),
             )
             for s in self.segments
-        )
-        return SignedMeasure(atoms, segments)
-
-    def restricted(self, upper: float) -> "SignedMeasure":
-        """Restriction to [0, upper]."""
-        upper = _require_finite("restriction bound", upper)
-        if upper <= 0:
-            raise ValueError(f"restriction bound must be > 0, got {upper}")
-        atoms = tuple(a for a in self.atoms if a.location <= upper)
-        segments = tuple(
-            DensitySegment(s.lo, min(s.hi, upper), s.density)
-            for s in self.segments
-            if s.lo < upper
         )
         return SignedMeasure(atoms, segments)
 

@@ -68,7 +68,7 @@ from .convergence import (
     vague_test,
 )
 from .errors import ScenarioParseError, ScenarioValidationError
-from .measures import SignedMeasure, _json_number
+from .measures import SignedMeasure, _json_number, _number
 from .tauberian import (
     DEFAULT_RATIO_POINTS,
     DEFAULT_T_GRID,
@@ -84,7 +84,7 @@ from .tauberian import (
     window_increment_condition,
 )
 from .transforms import (
-    abs_transform_value,
+    abs_transform,
     laplace_transform,
     tilt_identity_residual,
 )
@@ -161,12 +161,6 @@ _fixed_leaf = partial(_leaf, None, None)  # a measure outside any template
 # -- parameter coercion ---------------------------------------------------
 
 _REQUIRED = object()  # default of a parameter a check cannot run without
-
-
-def _number(v: Any) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"expected a number, got {v!r}")
-    return float(v)
 
 
 def _int(v: Any) -> int:
@@ -266,7 +260,7 @@ def _transform_table(measure, lambdas, tol, include_abs, expected) -> VerdictRep
     for lam in lambdas:
         row = {"lam": lam, "psi": laplace_transform(measure, lam)}
         if include_abs:
-            row["psi_abs"] = abs_transform_value(measure, lam)
+            row["psi_abs"] = abs_transform(measure, lam).value
         if lam in expected:
             row["expected"] = expected[lam]
             row["abs_error"] = abs(row["psi"] - expected[lam])

@@ -58,7 +58,7 @@ from .errors import (
 )
 from .measures import SignedMeasure, Term
 from .transforms import (
-    abs_transform_value,
+    abs_transform,
     envelope_transform,
     laplace_transform,
 )
@@ -262,7 +262,7 @@ def sign_ratio_condition(
         ratio = num / den if den > 0 else (math.inf if num > 0 else math.nan)
         row = {"tau": t, "bound_ratio": ratio}
         try:
-            exact = abs_transform_value(measure, t, allow_quadrature=False)
+            exact = abs_transform(measure, t, allow_quadrature=False).value
             row["measured_ratio"] = num / exact if exact > 0 else math.nan
         except SignChangeIsolationFailure:
             pass

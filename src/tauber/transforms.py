@@ -19,12 +19,13 @@ Tier 3 is the only inexact path and reports its error bound.  It is also
 the only path that needs scipy.integrate, which `quad` imports on first use.
 
 The convergence checks and Karamata pipelines ask for the same measures
-and segments at the same lam many times, so both transforms are memoised
-with `measures._memo`: `laplace_transform` keeps each value, and
+at the same lam many times, so both transforms are memoised with
+`measures._memo`: `laplace_transform` keeps each value, and
 `abs_transform` each `TransformValue`, in the measure's memo, keyed by
-the arguments the computation uses; below it, `_abs_segment` keeps each
-segment's (value, error_bound) in the segment's memo, for every tier, so
-a segment shared by two measures is not integrated twice.  A memo lives
+the arguments the computation uses.  Below it, a segment's memo keeps
+only what does not depend on lam (its sign runs and periodic tail, see
+`decomposition`): a repeat at the same lam is answered by the measure
+first, so a per-segment value memo would never be read.  A memo lives
 as long as its owner does.  `DivergentTransform`, and the ValueError for
 a NaN lam, are raised afresh on every call: the lam checks run before the
 lookup.
@@ -44,7 +45,6 @@ __all__ = [
     "TransformValue",
     "laplace_transform",
     "abs_transform",
-    "abs_transform_value",
     "envelope_transform",
     "tilt_identity_residual",
     "quadrature_transform",
@@ -248,18 +248,7 @@ def _quad_signed_segment(
 def _abs_segment(
     seg: DensitySegment, lam: float, allow_quadrature: bool, abs_tol: float
 ) -> tuple[float, float]:
-    """(value, error_bound) of |density| * exp(-lam x) over the segment,
-    computed once per segment object and argument triple."""
-    return _memo(
-        seg,
-        ("abs", lam, allow_quadrature, abs_tol),
-        lambda: _abs_segment_tiers(seg, lam, allow_quadrature, abs_tol),
-    )
-
-
-def _abs_segment_tiers(
-    seg: DensitySegment, lam: float, allow_quadrature: bool, abs_tol: float
-) -> tuple[float, float]:
+    """(value, error_bound) of |density| * exp(-lam x) over the segment."""
     if seg.unbounded and seg.density.min_decay + lam <= 0.0:
         return math.inf, 0.0
     try:
@@ -293,7 +282,7 @@ def abs_transform(
     tail structure; otherwise falls back to certified quadrature (unless
     disallowed).  Returns +inf (exactly) when |mu|'s transform diverges.
     Computed once per measure object and argument triple (see
-    `measures._memo`), on top of the per-segment values.
+    `measures._memo`).
     """
     lam, allow_quadrature, abs_tol = _lam(lam), bool(allow_quadrature), float(abs_tol)
     return _memo(
@@ -315,15 +304,6 @@ def _abs_measure(
         value += v
         err += e
     return TransformValue(value, err)
-
-
-def abs_transform_value(
-    measure: SignedMeasure,
-    lam: float,
-    allow_quadrature: bool = True,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> float:
-    return abs_transform(measure, lam, allow_quadrature, abs_tol).value
 
 
 def tilt_identity_residual(measure: SignedMeasure, eps: float, lam: float) -> float:

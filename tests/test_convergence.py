@@ -9,7 +9,6 @@ import pytest
 from tauber import (
     MeasureSequence,
     SignedMeasure,
-    TailEstimate,
     Term,
     bounded_laplace_test,
     classify,
@@ -24,7 +23,8 @@ from tauber import (
     right_equicontinuity_test,
     vague_test,
 )
-from tauber.convergence import tail_start
+from tauber import convergence
+from tauber.convergence import _extrapolated, tail_start
 from tests.conftest import dipole_sequence_rule, mollified_delta_rule
 
 LAMBDAS = (0.5, 1.0, 2.0)
@@ -64,10 +64,10 @@ def test_index_grid_is_geometric_and_capped():
 def test_tail_estimate_extrapolates_first_order_error():
     grid = index_grid(10000, 2.0)
     vals = [3.0 + 5.0 / n for n in grid]
-    est = TailEstimate.from_values(grid, vals)
-    assert est.extrapolated == pytest.approx(3.0, abs=1e-12)
-    assert est.tail_max == pytest.approx(vals[est.tail_start], rel=1e-12)
-    assert est.slope < 0  # decreasing toward the limit
+    assert _extrapolated(grid, vals) == pytest.approx(3.0, abs=1e-12)
+    # without two finite end points the last value stands
+    assert _extrapolated(grid, vals[:-2] + [math.inf, 4.0]) == 4.0
+    assert _extrapolated((1,), (2.5,)) == 2.5
 
 
 def test_tail_window_is_the_last_quarter_of_every_grid():
@@ -79,10 +79,37 @@ def test_tail_window_is_the_last_quarter_of_every_grid():
 
 
 def test_tail_estimate_flags_growth():
+    def weight(n):
+        return 0.1 * math.log(n) + 1.0
+
     grid = index_grid(1000, 2.0)
-    vals = [0.1 * math.log(n) + 1.0 for n in grid]
-    est = TailEstimate.from_values(grid, vals)
-    assert est.slope == pytest.approx(0.1, rel=1e-6)
+    tail = [weight(n) for n in grid[tail_start(len(grid)):]]
+    seq = MeasureSequence(rule=lambda n: SignedMeasure.point_mass(0.0, weight(n)))
+    report = bounded_laplace_test(seq, [1.0], n_max=1000, ratio=2.0)
+    # |psi_n|(1) is the weight: slope 0.1 against log n, over the tail's mean
+    growth = report.table[0]["growth_rate"]
+    assert growth == pytest.approx(0.1 / (sum(tail) / len(tail)), rel=1e-6)
+    assert report.witnesses[0]["growth_rate"] == growth
+    assert report.status == "fail"
+
+
+def test_only_bounded_laplace_fits_a_slope(monkeypatch):
+    fits = []
+    polyfit = convergence.np.polyfit
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return polyfit(*args, **kwargs)
+
+    monkeypatch.setattr(convergence.np, "polyfit", counted)
+    seq = MeasureSequence(rule=mollified_delta_rule(),
+                          limit=SignedMeasure.point_mass(1.0))
+    laplace_convergence_test(seq, LAMBDAS, n_max=1000)
+    vague_test(seq, n_max=1000)
+    distribution_convergence_test(seq, [0.5, 2.0], n_max=1000)
+    assert fits == []
+    bounded_laplace_test(seq, LAMBDAS, n_max=1000)
+    assert len(fits) == len(LAMBDAS)
 
 
 def test_classify_three_values():

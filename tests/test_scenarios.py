@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import tauber.cli
+import tauber.measures
+import tauber.scenarios
 from tauber import (
     CHECK_NAMES,
     ScenarioValidationError,
@@ -193,6 +195,22 @@ def test_from_dict_and_load_scenario_parse_alike(measure, field):
     assert direct.value.field == f"measure.{field}"
     assert loaded.value.field == f"measures.probe.{field}"
     assert isinstance(direct.value, ValueError)
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["boolean", "string"])
+def test_wire_leaf_and_check_parameter_refuse_a_non_number_alike(value):
+    assert tauber.scenarios._number is tauber.measures._number
+    with pytest.raises(ScenarioValidationError) as leaf:
+        SignedMeasure.from_dict({"atoms": [{"x": 0.5, "w": value}]})
+    doc = tiny_scenario()
+    doc["checks"][1]["tol"] = value
+    with pytest.raises(ScenarioValidationError) as param:
+        load_scenario(doc)
+    assert leaf.value.field == "measure.atoms[0].w"
+    assert param.value.field.endswith(".tol")
+    message = f"expected a number, got {value!r}"
+    assert str(leaf.value) == f"{leaf.value.field}: {message}"
+    assert str(param.value) == f"{param.value.field}: {message}"
 
 
 def test_sequence_limit_forms():
@@ -511,7 +529,7 @@ def test_check_table_calls_library_functions_through_module_globals(monkeypatch)
         "continuity_backward", "rv_index_from_transform", "rv_index_from_distribution",
         "rv_report", "sign_ratio_condition", "window_increment_condition",
         "asymptotic_ratio", "slow_variation_diagnostic", "karamata_pipeline",
-        "laplace_transform", "abs_transform_value",
+        "laplace_transform", "abs_transform",
         "tilt_identity_residual", "classify",
     }
 

@@ -21,14 +21,15 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import tauber
 from tauber import (
     DensitySegment,
     DivergentTransform,
     Expression,
+    MeasureError,
     SignedMeasure,
     Term,
     abs_transform,
-    abs_transform_value,
     envelope_transform,
     laplace_transform,
     quadrature_transform,
@@ -91,6 +92,13 @@ def test_power_exp_integral_unbounded_tail():
 def test_power_exp_integral_divergent_raises():
     with pytest.raises(NonIntegrableTail):
         power_exp_integral(1.0, 0.0, 0.0, 0.0, math.inf)
+
+
+def test_divergent_integral_raises_a_package_error():
+    with pytest.raises(MeasureError) as info:
+        Expression((Term(1.0),)).integral(0.0, math.inf)
+    assert type(info.value) is NonIntegrableTail is tauber.NonIntegrableTail
+    assert isinstance(info.value, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +213,7 @@ def test_abs_transform_dominates_signed_and_is_dominated_by_envelope(rng):
         m = random_measure(rng)
         for lam in (0.5, 1.5):
             psi = laplace_transform(m, lam)
-            tv = abs_transform_value(m, lam)
+            tv = abs_transform(m, lam).value
             env = envelope_transform(m, lam)
             assert abs(psi) <= tv * (1 + 1e-9) + 1e-12
             assert tv <= env * (1 + 1e-9) + 1e-12
