@@ -68,11 +68,6 @@ def _int_monomial_exp_from_zero(j: int, z: complex, delta: float) -> complex:
     return head - cmath.exp(-z * delta) * tail
 
 
-def _int_monomial_exp_tail(j: int, z: complex) -> complex:
-    """integral of u^j * exp(-z*u) du over [0, inf), requires Re z > 0."""
-    return math.factorial(j) / z ** (j + 1)
-
-
 def _integer_power_exp(p: int, z: complex, lo: float, hi: float) -> complex:
     """integral of x^p * exp(-z*x) dx over [lo, hi], p >= 0 integer."""
     if z == 0:
@@ -85,8 +80,9 @@ def _integer_power_exp(p: int, z: complex, lo: float, hi: float) -> complex:
     if math.isinf(hi):
         if z.real <= 0:
             raise NonIntegrableTail("non-decaying tail does not converge")
+        # integral of u^j * exp(-z*u) du over [0, inf) is j!/z^(j+1)
         inner = sum(
-            math.comb(p, j) * lo ** (p - j) * _int_monomial_exp_tail(j, z)
+            math.comb(p, j) * lo ** (p - j) * (math.factorial(j) / z ** (j + 1))
             for j in range(p + 1)
         )
     else:

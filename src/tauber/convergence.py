@@ -75,7 +75,7 @@ def index_grid(n_max: int = DEFAULT_N_MAX, ratio: float = DEFAULT_RATIO) -> tupl
     """Geometric index grid {1, ceil(r), ceil(r^2), ...} capped at n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if ratio <= 1.0:
+    if not ratio > 1.0:
         raise ValueError(f"grid ratio must be > 1, got {ratio}")
     out = {1, n_max}
     x = 1.0
@@ -85,16 +85,26 @@ def index_grid(n_max: int = DEFAULT_N_MAX, ratio: float = DEFAULT_RATIO) -> tupl
     return tuple(sorted(out))
 
 
+def grid(values: Iterable[float], what: str, descending: bool = False) -> tuple[float, ...]:
+    """The distinct values as floats, sorted (largest first when
+    `descending`); a ValueError naming `what` unless there is at least
+    one value and every value is positive and finite."""
+    out = sorted({float(v) for v in values}, reverse=descending)
+    if not out or not all(0.0 < v < math.inf for v in out):
+        raise ValueError(f"{what} must be a nonempty list of positive finite numbers")
+    return tuple(out)
+
+
 def tail_start(length: int) -> int:
     """Position where the tail window of a grid of `length` points begins."""
     return min(length - 1, int(math.floor(length * (1.0 - TAIL_FRACTION))))
 
 
-def _extrapolated(grid: Sequence[int], vals: Sequence[float]) -> float:
+def _extrapolated(ns: Sequence[int], vals: Sequence[float]) -> float:
     """Limit of vals by 1/n Richardson extrapolation from the last two grid
     points; the last value when they cannot be used."""
-    if len(grid) >= 2 and grid[-1] != grid[-2] and all(map(math.isfinite, vals[-2:])):
-        n1, n2 = float(grid[-2]), float(grid[-1])
+    if len(ns) >= 2 and ns[-1] != ns[-2] and all(map(math.isfinite, vals[-2:])):
+        n1, n2 = float(ns[-2]), float(ns[-1])
         c = (vals[-2] - vals[-1]) / (1.0 / n1 - 1.0 / n2)
         return vals[-1] - c / n2
     return vals[-1]
@@ -120,7 +130,10 @@ def _worst(statuses: Iterable[str]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class VerdictReport:
-    """Outcome of one check: verdict plus the numbers that justify it."""
+    """Outcome of one check: verdict plus the numbers that justify it.
+
+    A pass names no witness: a report built as `pass` drops its witnesses.
+    """
 
     check: str
     status: str
@@ -131,6 +144,10 @@ class VerdictReport:
     table: tuple[dict, ...] = ()
     children: tuple["VerdictReport", ...] = ()
     pattern: str = ""
+
+    def __post_init__(self) -> None:
+        if self.status == "pass":
+            object.__setattr__(self, "witnesses", ())
 
     def child(self, name: str) -> "VerdictReport":
         for c in self.children:
@@ -253,14 +270,14 @@ def _deviation_test(
     limit = seq.limit
     if limit is None:
         raise ValueError(f"{check} needs a declared limit measure")
-    grid = index_grid(n_max, ratio)
+    ns = index_grid(n_max, ratio)
     table = []
     last = {}  # probe -> (deviation at the last grid index, extrapolated)
     for p in probes:
         target = functional(limit, p)
-        devs = [float(functional(seq.measure(n), p) - target) for n in grid]
-        tail = devs[tail_start(len(grid)):]
-        last[p] = devs[-1], _extrapolated(grid, devs)
+        devs = [float(functional(seq.measure(n), p) - target) for n in ns]
+        tail = devs[tail_start(len(ns)):]
+        last[p] = devs[-1], _extrapolated(ns, devs)
         table.append({
             key: p,
             "target": target,
@@ -270,21 +287,17 @@ def _deviation_test(
     worst = max(probes, key=lambda p: abs(last[p][1]))
     deviation, extrapolated = last[worst]
     stat = abs(extrapolated)
-    status = classify(stat, tol, band)
-    witnesses = ()
-    if status != "pass":
-        witnesses = ({
-            key: worst,
-            "n": grid[-1],
-            "deviation": deviation,
-            "extrapolated": extrapolated,
-        },)
     return VerdictReport(
         check=check,
-        status=status,
+        status=classify(stat, tol, band),
         statistics={"max_extrapolated_abs_deviation": stat},
         tolerances={"tol": tol, "band": band},
-        witnesses=witnesses,
+        witnesses=({
+            key: worst,
+            "n": ns[-1],
+            "deviation": deviation,
+            "extrapolated": extrapolated,
+        },),
         table=tuple(table),
     )
 
@@ -342,8 +355,7 @@ def laplace_convergence_test(
 ) -> VerdictReport:
     """Pointwise transform convergence psi_n(lam) -> psi_limit(lam)."""
     lambdas = tuple(float(v) for v in lambdas)
-    if not lambdas or any(v <= 0 for v in lambdas):
-        raise ValueError("transform grid must contain positive values")
+    grid(lambdas, "transform grid")  # checked only: rows keep the given order
     return _with_max_tail(_deviation_test(
         "laplace_convergence", seq, lambdas, laplace_transform,
         "lam", n_max, ratio, tol, band,
@@ -368,18 +380,16 @@ def bounded_laplace_test(
     extrapolated tail value is reported for each argument.
     """
     lambdas = tuple(float(v) for v in lambdas)
-    if not lambdas or any(v <= 0 for v in lambdas):
-        raise ValueError("transform grid must contain positive values")
-    grid = index_grid(n_max, ratio)
+    grid(lambdas, "transform grid")  # checked only: rows keep the given order
+    ns = index_grid(n_max, ratio)
     table = []
-    statuses = []
-    witnesses = []
+    verdicts = []  # one per lam: its status and, unless it passes, its witness
     worst_growth = 0.0
     worst_tail = 0.0
-    k0 = tail_start(len(grid))
-    log_n = np.log([float(n) for n in grid[k0:]])
+    k0 = tail_start(len(ns))
+    log_n = np.log([float(n) for n in ns[k0:]])
     for lam in lambdas:
-        vals = [abs_transform(seq.measure(n), lam).value for n in grid]
+        vals = [abs_transform(seq.measure(n), lam).value for n in ns]
         tail = vals[k0:]
         tail_max = max(tail)
         if not all(map(math.isfinite, tail)):
@@ -398,14 +408,13 @@ def bounded_laplace_test(
         if cap is not None:
             cap_status = classify(tail_max, cap, band)
             row_status = _worst([row_status, cap_status])
-        statuses.append(row_status)
-        if row_status != "pass":
-            k = max(range(len(grid)), key=lambda i: vals[i])
-            witnesses.append({"lam": lam, "n": grid[k], "value": vals[k], "growth_rate": growth})
+        k = max(range(len(ns)), key=lambda i: vals[i])
+        verdicts.append(VerdictReport("bounded_laplace", row_status, witnesses=(
+            {"lam": lam, "n": ns[k], "value": vals[k], "growth_rate": growth},)))
         table.append({
             "lam": lam,
             "tail_max": tail_max,
-            "extrapolated": _extrapolated(grid, vals),
+            "extrapolated": _extrapolated(ns, vals),
             "growth_rate": growth,
         })
     tolerances = {"slope_tol": slope_tol, "band": band}
@@ -413,10 +422,10 @@ def bounded_laplace_test(
         tolerances["cap"] = cap
     return VerdictReport(
         check="bounded_laplace",
-        status=_worst(statuses),
+        status=_worst(v.status for v in verdicts),
         statistics={"max_growth_rate": worst_growth, "max_tail_value": worst_tail},
         tolerances=tolerances,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(w for v in verdicts for w in v.witnesses),
         table=tuple(table),
     )
 
@@ -439,41 +448,32 @@ def right_equicontinuity_test(
     x = float(point)
     if x < 0:
         raise ValueError(f"point must be >= 0, got {x}")
-    h_grid = tuple(sorted({float(h) for h in h_grid}, reverse=True))
-    if not h_grid or h_grid[-1] <= 0:
-        raise ValueError("window grid must be positive")
-    grid = index_grid(n_max, ratio)
+    h_grid = grid(h_grid, "window grid", descending=True)
+    ns = index_grid(n_max, ratio)
     stat_by_delta = {}
     argmax_by_delta = {}
     for delta in h_grid:
-        vals = [abs(seq.measure(n).interval(x, x + delta)) for n in grid]
-        k = max(range(tail_start(len(grid)), len(grid)), key=vals.__getitem__)
-        stat_by_delta[delta], argmax_by_delta[delta] = vals[k], grid[k]
+        vals = [abs(seq.measure(n).interval(x, x + delta)) for n in ns]
+        k = max(range(tail_start(len(ns)), len(ns)), key=vals.__getitem__)
+        stat_by_delta[delta], argmax_by_delta[delta] = vals[k], ns[k]
     # worst violation within each candidate window
     m_by_h = {
         h: max(stat_by_delta[d] for d in h_grid if d <= h) for h in h_grid
     }
     best_h = min(m_by_h, key=lambda h: (m_by_h[h], h))
     stat = m_by_h[best_h]
-    status = classify(stat, epsilon, band)
-    witnesses = ()
-    if status != "pass":
-        worst_delta = max((d for d in h_grid), key=lambda d: stat_by_delta[d])
-        witnesses = ({
+    worst_delta = max(h_grid, key=lambda d: stat_by_delta[d])
+    return VerdictReport(
+        check="right_equicontinuity",
+        status=classify(stat, epsilon, band),
+        statistics={"best_window": best_h, "best_window_stat": stat},
+        tolerances={"epsilon": epsilon, "band": band},
+        witnesses=({
             "delta": worst_delta,
             "n": argmax_by_delta[worst_delta],
             "value": stat_by_delta[worst_delta],
-        },)
-    table = tuple(
-        {"delta": d, "tail_max": stat_by_delta[d]} for d in h_grid
-    )
-    return VerdictReport(
-        check="right_equicontinuity",
-        status=status,
-        statistics={"best_window": best_h, "best_window_stat": stat},
-        tolerances={"epsilon": epsilon, "band": band},
-        witnesses=witnesses,
-        table=table,
+        },),
+        table=tuple({"delta": d, "tail_max": stat_by_delta[d]} for d in h_grid),
     )
 
 
@@ -539,8 +539,9 @@ def part_domination_test(
     downgrades the verdict to inconclusive.
     """
     lambdas = tuple(float(v) for v in lambdas)
-    grid = index_grid(n_max, ratio)
-    tail_ns = grid[tail_start(len(grid)):]
+    bounded = bounded_laplace_test(seq, lambdas, n_max=n_max, ratio=ratio, band=band)
+    ns = index_grid(n_max, ratio)
+    tail_ns = ns[tail_start(len(ns)):]
     worst_minus = 0.0   # neg dominated by pos
     worst_plus = 0.0    # pos dominated by neg
     rows = []
@@ -557,25 +558,18 @@ def part_domination_test(
     stat = min(worst_minus, worst_plus)
     orientation = "negative-part dominated" if worst_minus <= worst_plus else "positive-part dominated"
     status = classify(stat, delta, band)
-    bounded = bounded_laplace_test(
-        seq, lambdas, n_max=n_max, ratio=ratio, band=band
-    )
     notes = (f"orientation: {orientation}",)
     if status == "pass" and bounded.status == "fail":
         status = "inconclusive"
         notes = notes + (
             "domination ratio passed but uniform boundedness failed; verdicts disagree",
         )
-    witnesses = ()
-    if status != "pass":
-        worst_row = max(rows, key=lambda r: min(r["neg_over_pos"], r["pos_over_neg"]))
-        witnesses = (worst_row,)
     return VerdictReport(
         check="part_domination",
         status=status,
         statistics={"max_dominated_ratio": stat},
         tolerances={"delta": delta, "band": band},
-        witnesses=witnesses,
+        witnesses=(max(rows, key=lambda r: min(r["neg_over_pos"], r["pos_over_neg"])),),
         notes=notes,
         table=tuple(rows),
         children=(bounded,),
@@ -639,8 +633,8 @@ def continuity_forward(
         continuity_point_test(limit, point),
     ]
     if skip_equicontinuity:
-        grid = index_grid(n_max, ratio)
-        spots = {grid[0], grid[len(grid) // 2], grid[-1]}
+        ns = index_grid(n_max, ratio)
+        spots = {ns[0], ns[len(ns) // 2], ns[-1]}
         certified = all(certified_nonnegative(seq.measure(n)) for n in sorted(spots)) and (
             certified_nonnegative(limit)
         )

@@ -89,53 +89,37 @@ def eventual_sign(expr: Expression) -> tuple[int, float] | None:
     """Certificate (sign, X) that expr has that constant sign on [X, inf).
 
     Looks at the dominant group: smallest decay, then largest power.  If the
-    plain coefficient there strictly dominates the summed oscillation
-    amplitudes, every other term decays relative to the dominant monomial
-    and a threshold X is found by doubling until the relative remainder
-    drops below half the margin (and is provably decreasing).  Returns None
-    when no certificate exists.
+    plain coefficient there strictly dominates the joint oscillation
+    amplitude (`Expression.envelope`), every other term decays relative to
+    the dominant monomial and a threshold X is found by doubling until the
+    relative remainder, summed in logs, drops below half the margin (and is
+    provably decreasing).  Returns None when no certificate exists.
     """
     terms = expr.terms
     if not terms:
         return None
     a_min = min(t.decay for t in terms)
-    group = [t for t in terms if t.decay == a_min]
-    p_max = max(t.power for t in group)
-    s = 0.0
-    osc_amp: dict[float, list[float]] = {}
-    for t in group:
-        if t.power != p_max:
-            continue
-        if t.kind == "":
-            s += t.coefficient
-        else:
-            pair = osc_amp.setdefault(t.freq, [0.0, 0.0])
-            pair[0 if t.kind == "cos" else 1] = t.coefficient
-    amp = sum(math.hypot(cc, cs) for cc, cs in osc_amp.values())
+    p_max = max(t.power for t in terms if t.decay == a_min)
+    group = [t for t in terms if t.decay == a_min and t.power == p_max]
+    s = sum(t.coefficient for t in group if t.kind == "")  # at most one plain term
+    oscillating = Expression(tuple(t for t in group if t.kind))
+    amp = sum(t.coefficient for t in oscillating.envelope().terms)  # the joint amplitude
     margin = abs(s) - amp
     if margin <= 1e-15 * (abs(s) + amp):
         return None
-    # Remaining terms, measured relative to x^{p_max} e^{-a_min x}.
-    rest: list[tuple[float, float, float]] = []  # (|coef|, dp, da)
-    for t in terms:
-        dp = t.power - p_max
-        da = t.decay - a_min
-        if da == 0.0 and dp == 0.0:
-            continue  # dominant group, already accounted for
-        rest.append((abs(t.coefficient), dp, da))
-    x = 1.0
-    for _ in range(200):
-        bound = 0.0
-        decreasing = True
-        for c, dp, da in rest:
-            bound += c * x ** dp * math.exp(-da * x)
-            if not (dp <= 0.0 or (da > 0.0 and x >= dp / da)):
-                decreasing = False
+    # Remaining terms relative to x^{p_max} e^{-a_min x}, as (log|coef|, dp, da).
+    rest = [(math.log(abs(t.coefficient)), t.power - p_max, t.decay - a_min)
+            for t in terms if t not in group]
+    for x in (2.0 ** k for k in range(200)):
+        # sign isolation samples [lo, X], so no term's |c| x**p may overflow there
+        if any(math.log(abs(t.coefficient)) + t.power * math.log(x) > 700.0 for t in terms):
+            return None
+        # in logs: x**dp alone overflows where exp(-da*x) makes the term tiny
+        logs = [c + dp * math.log(x) - da * x for c, dp, da in rest]
+        bound = sum(math.exp(e) if e < 700.0 else math.inf for e in logs)
+        decreasing = all(dp <= 0.0 or (da > 0.0 and x >= dp / da) for _, dp, da in rest)
         if decreasing and bound <= margin / 2.0:
             return (1 if s > 0 else -1, x)
-        x *= 2.0
-        if x > 1e280:
-            break
     return None
 
 

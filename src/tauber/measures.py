@@ -31,7 +31,7 @@ with its owner: there is no global cache to size or to clear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import Any, Callable, Iterable
 
@@ -281,15 +281,18 @@ class Expression:
                 acc += t.coefficient * val.real
         return acc
 
-    def times_x(self) -> "Expression":
+    def _rewritten(self, **rules: Callable[[Term], float]) -> "Expression":
+        """The expression with each term's named fields replaced by
+        rule(term), e.g. `power=lambda t: t.power + 1` for x * f(x)."""
         return Expression(tuple(
-            Term(t.coefficient, t.power + 1, t.decay, t.kind, t.freq) for t in self.terms
+            replace(t, **{name: rule(t) for name, rule in rules.items()}) for t in self.terms
         ))
 
+    def times_x(self) -> "Expression":
+        return self._rewritten(power=lambda t: t.power + 1)
+
     def scale(self, alpha: float) -> "Expression":
-        return Expression(tuple(
-            Term(alpha * t.coefficient, t.power, t.decay, t.kind, t.freq) for t in self.terms
-        ))
+        return self._rewritten(coefficient=lambda t: alpha * t.coefficient)
 
     def __add__(self, other: "Expression") -> "Expression":
         return Expression(self.terms + other.terms)
@@ -510,14 +513,7 @@ class SignedMeasure:
             raise ValueError(f"tilt parameter must be >= 0, got {eps}")
         atoms = tuple(Atom(a.location, a.weight * math.exp(-eps * a.location)) for a in self.atoms)
         segments = tuple(
-            DensitySegment(
-                s.lo,
-                s.hi,
-                Expression(tuple(
-                    Term(t.coefficient, t.power, t.decay + eps, t.kind, t.freq)
-                    for t in s.density.terms
-                )),
-            )
+            DensitySegment(s.lo, s.hi, s.density._rewritten(decay=lambda t: t.decay + eps))
             for s in self.segments
         )
         return SignedMeasure(atoms, segments)
@@ -532,20 +528,11 @@ class SignedMeasure:
             raise ValueError("normaliser must be nonzero")
         atoms = tuple(Atom(a.location / t, a.weight / c) for a in self.atoms)
         segments = tuple(
-            DensitySegment(
-                s.lo / t,
-                s.hi / t,
-                Expression(tuple(
-                    Term(
-                        tm.coefficient * t ** (tm.power + 1) / c,
-                        tm.power,
-                        tm.decay * t,
-                        tm.kind,
-                        tm.freq * t,
-                    )
-                    for tm in s.density.terms
-                )),
-            )
+            DensitySegment(s.lo / t, s.hi / t, s.density._rewritten(
+                coefficient=lambda tm: tm.coefficient * t ** (tm.power + 1) / c,
+                decay=lambda tm: tm.decay * t,
+                freq=lambda tm: tm.freq * t,
+            ))
             for s in self.segments
         )
         return SignedMeasure(atoms, segments)

@@ -62,6 +62,8 @@ from .convergence import (
     continuity_forward,
     continuity_point_test,
     distribution_convergence_test,
+    grid,
+    index_grid,
     laplace_convergence_test,
     part_domination_test,
     right_equicontinuity_test,
@@ -179,6 +181,19 @@ def _floats(v: Any) -> tuple[float, ...]:
     return tuple(_number(x) for x in v)
 
 
+def _checked(coerce: Callable[[Any], Any], check: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """`coerce`, then `check` the value, which raises ValueError to refuse it."""
+    def coerce_and_check(v: Any) -> Any:
+        value = coerce(v)
+        check(value)
+        return value
+    return coerce_and_check
+
+
+# a grid parameter, positive by the one `grid` rule and kept in its order
+_grid = _checked(_floats, lambda v: grid(v, "grid"))
+
+
 def _float_or_floats(v: Any) -> tuple[float, ...]:
     return _floats(v if isinstance(v, (list, tuple)) else [v])
 
@@ -229,9 +244,9 @@ def _coerce(spec: dict[str, tuple[Callable, Any]], given: dict, where: str) -> d
 # -- the check table ------------------------------------------------------
 
 # scenario `config` keys, which a grid check may also set for itself
-_GRID_PARAMS = {
-    "n_max": (_int, DEFAULT_N_MAX),
-    "grid_ratio": (_number, DEFAULT_RATIO),
+_GRID_PARAMS = {  # index_grid refuses an n_max below 1 and a ratio not above 1
+    "n_max": (_checked(_int, index_grid), DEFAULT_N_MAX),
+    "grid_ratio": (_checked(_number, lambda r: index_grid(2, r)), DEFAULT_RATIO),
     "band": (_number, DEFAULT_BAND),
 }
 
@@ -325,7 +340,7 @@ def _window_increment(measure, point, points, **kwargs) -> VerdictReport:
 
 # every KaramataConfig field but the grid ones, coerced by its default's type
 _KARAMATA_PARAMS = {
-    f.name: (_floats if isinstance(f.default, tuple) else _number, f.default)
+    f.name: (_grid if isinstance(f.default, tuple) else _number, f.default)
     for f in fields(KaramataConfig) if f.name not in _GRID_PARAMS
 }
 
@@ -364,7 +379,7 @@ _CHECKS: dict[str, _Kind] = {
     "right_equicontinuity": _Kind(
         "sequence",
         {"point": (_number, _REQUIRED), "epsilon": (_number, 0.05),
-         "h_grid": (_floats, DEFAULT_H_GRID)},
+         "h_grid": (_grid, DEFAULT_H_GRID)},
         lambda seq, **p: right_equicontinuity_test(seq, **p), grid=True,
     ),
     "distribution_convergence": _Kind(
@@ -387,7 +402,7 @@ _CHECKS: dict[str, _Kind] = {
         "sequence",
         {"point": (_number, _REQUIRED), "lambdas": (_floats, _REQUIRED),
          "psi_tol": (_number, 1e-6), "F_tol": (_number, 0.02), "epsilon": (_number, 0.05),
-         "skip_equicontinuity": (_bool, False), "h_grid": (_floats, DEFAULT_H_GRID)},
+         "skip_equicontinuity": (_bool, False), "h_grid": (_grid, DEFAULT_H_GRID)},
         lambda seq, **p: continuity_forward(seq, **p), grid=True,
     ),
     "continuity_backward": _Kind(
@@ -399,7 +414,7 @@ _CHECKS: dict[str, _Kind] = {
     "rv_index_transform": _Kind(
         "measure",
         {"declared": (_number, None), "rho_tol": (_number, 0.05),
-         "tau_grid": (_floats, DEFAULT_TAU_GRID),
+         "tau_grid": (_grid, DEFAULT_TAU_GRID),
          "ratio_points": (_floats, DEFAULT_RATIO_POINTS)},
         lambda m, declared, rho_tol, **grids: rv_report(
             rv_index_from_transform(m, **grids), declared=declared, rho_tol=rho_tol),
@@ -407,32 +422,32 @@ _CHECKS: dict[str, _Kind] = {
     "rv_index_distribution": _Kind(
         "measure",
         {"declared": (_number, None), "rho_tol": (_number, 0.05),
-         "t_grid": (_floats, DEFAULT_T_GRID),
+         "t_grid": (_grid, DEFAULT_T_GRID),
          "ratio_points": (_floats, DEFAULT_RATIO_POINTS),
          "window_decades": (_number, 1.0)},
         lambda m, declared, rho_tol, **grids: rv_report(
             rv_index_from_distribution(m, **grids), declared=declared, rho_tol=rho_tol),
     ),
     "sign_ratio_condition": _Kind(
-        "measure", {"floor": (_number, 0.01), "tau_grid": (_floats, DEFAULT_TAU_GRID)},
+        "measure", {"floor": (_number, 0.01), "tau_grid": (_grid, DEFAULT_TAU_GRID)},
         lambda m, **p: sign_ratio_condition(m, **p),
     ),
     "window_increment_condition": _Kind(
         "measure",
         {"point": (_number, 1.0), "points": (_floats, None), "ceiling": (_number, 0.05),
-         "tau_grid": (_floats, DEFAULT_TAU_GRID), "h_grid": (_floats, DEFAULT_H_GRID)},
+         "tau_grid": (_grid, DEFAULT_TAU_GRID), "h_grid": (_grid, DEFAULT_H_GRID)},
         _window_increment,
     ),
     "asymptotic_ratio": _Kind(
         "measure",
         {"rho": (_number, _REQUIRED), "window_decades": (_number, 1.0),
-         "tol": (_number, 0.02), "t_grid": (_floats, DEFAULT_T_GRID)},
+         "tol": (_number, 0.02), "t_grid": (_grid, DEFAULT_T_GRID)},
         lambda m, **p: asymptotic_ratio(m, **p), tol_key="tol",
     ),
     "slow_variation": _Kind(
         "measure",
         {"rho": (_number, _REQUIRED), "tol": (_number, 0.01),
-         "window_decades": (_number, 1.0), "t_grid": (_floats, DEFAULT_T_GRID),
+         "window_decades": (_number, 1.0), "t_grid": (_grid, DEFAULT_T_GRID),
          "ratio_points": (_floats, DEFAULT_RATIO_POINTS)},
         lambda m, **p: slow_variation_diagnostic(m, **p), tol_key="tol",
     ),
@@ -519,7 +534,7 @@ def _sequence(scn: Scenario, key: str, spec: Any) -> MeasureSequence:
     )
 
 
-def _prepare(scn: Scenario, index: int, chk: Any, grid: dict) -> _Check:
+def _prepare(scn: Scenario, index: int, chk: Any, defaults: dict) -> _Check:
     where = f"checks[{index}]"
     if not isinstance(chk, dict):
         raise ScenarioValidationError(where, "check must be an object")
@@ -544,7 +559,7 @@ def _prepare(scn: Scenario, index: int, chk: Any, grid: dict) -> _Check:
         raise ScenarioValidationError(f"{where}.sequence", "required parameter missing")
     spec = dict(entry.params)
     if entry.grid:
-        spec.update({k: (coerce, grid[k]) for k, (coerce, _) in _GRID_PARAMS.items()})
+        spec.update({k: (coerce, defaults[k]) for k, (coerce, _) in _GRID_PARAMS.items()})
     skip = _META_KEYS | _TARGET_KEYS[entry.target]
     params = _coerce(spec, {k: v for k, v in chk.items() if k not in skip}, where)
     if entry.validate is not None:
@@ -582,7 +597,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
             raise ScenarioValidationError(key, "must be an object")
     if not isinstance(checks, list) or not checks:
         raise ScenarioValidationError("checks", "must be a nonempty list")
-    grid = _coerce(_GRID_PARAMS, config, "config")
+    defaults = _coerce(_GRID_PARAMS, config, "config")
     scn = Scenario(name, measures, sequences, checks, config)
     for key, obj in measures.items():
         scn._measures[key] = SignedMeasure.from_dict(obj, _fixed_leaf, f"measures.{key}")
@@ -590,7 +605,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         scn._sequences[key] = _sequence(scn, key, spec)
     ids = set()
     for i, chk in enumerate(checks):
-        prepared = _prepare(scn, i, chk, grid)
+        prepared = _prepare(scn, i, chk, defaults)
         if prepared.check_id in ids:
             raise ScenarioValidationError(
                 f"checks[{i}].id", f"duplicate check id {prepared.check_id!r}"
@@ -678,19 +693,13 @@ class RunReport:
         return buf.getvalue()
 
 
-def _fmt_value(v: Any) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _report_rows(prefix: str, rep: VerdictReport) -> list[tuple[str, str, str, str]]:
     rows = []
     for k in sorted(rep.statistics):
-        rows.append((prefix, k, _fmt_value(rep.statistics[k]), rep.status))
+        rows.append((prefix, k, str(rep.statistics[k]), rep.status))
     for j, entry in enumerate(rep.table):
         for k in sorted(entry):
-            rows.append((prefix, f"table[{j}].{k}", _fmt_value(entry[k]), rep.status))
+            rows.append((prefix, f"table[{j}].{k}", str(entry[k]), rep.status))
     for child in rep.children:
         rows.extend(_report_rows(f"{prefix}/{child.check}", child))
     return rows

@@ -7,10 +7,10 @@ ratios at the large end).  The package then verifies the two conversion
 directions numerically:
 
 * transform side -> distribution side: the family of rescaled measures
-  nu_n = (rescale by 1/tau_n, normalise by psi(tau_n)) is run through the
-  full convergence battery against the gamma-type limit with parameter
-  rho, and the asymptotic ratio psi(1/t) / (F(t) Gamma(rho+1)) is checked
-  against 1 over the top decade of the t grid;
+  nu_n = (rescale by 1/tau_n, normalise by psi(tau_n)), tau_n = 1/n, is
+  run through the full convergence battery against the gamma-type limit
+  with parameter rho, and the asymptotic ratio psi(1/t) / (F(t) Gamma(rho+1))
+  is checked against 1 over the top decade of the t grid;
 * distribution side -> transform side: the integrated-tail measure (with
   density F past a start point) is certified nonnegative, its index is
   checked to be rho + 1, and the same asymptotic ratio closes the loop.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from statistics import median
 from typing import Callable, Sequence
 
@@ -43,6 +44,7 @@ from .convergence import (
     bounded_laplace_test,
     classify,
     distribution_convergence_test,
+    grid,
     laplace_convergence_test,
     right_equicontinuity_test,
     tail_start,
@@ -99,6 +101,43 @@ class RVEstimate:
     method: str                  # "transform" | "distribution"
 
 
+def _ratio_points(points: Sequence[float]) -> list[float]:
+    """The ratio points that carry information: positive and not 1 (0/0)."""
+    out = [float(x) for x in points if float(x) > 0 and float(x) != 1.0]
+    if not out:
+        raise ValueError("ratio points must contain a positive value != 1")
+    return out
+
+
+def _window(ts: Sequence[float], decades: float) -> list[float]:
+    """The points of the ascending grid ts within `decades` decades of its top."""
+    return [t for t in ts if t >= ts[-1] / 10.0 ** decades]
+
+
+def _one_signed(f: Callable[[float], float], points: Sequence[float],
+                error: type[Exception], message: str) -> None:
+    """Raise error(message) unless f is nonzero with one sign at every point."""
+    signs = {math.copysign(1.0, f(t)) for t in points if f(t) != 0.0}
+    if len(signs) != 1 or any(f(t) == 0.0 for t in points):
+        raise error(message)
+
+
+def _estimate(
+    per_ratio: dict[float, float],
+    xs: Sequence[float],
+    ys: Sequence[float],
+    sign: float,
+    anchor: float,
+    method: str,
+) -> RVEstimate:
+    """Median and spread of the per-ratio estimates, with `sign` times the
+    log-log regression slope of ys on xs as the cross-check."""
+    rho = float(median(per_ratio.values()))
+    dispersion = max(abs(v - rho) for v in per_ratio.values())
+    slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0]) if len(xs) >= 2 else math.nan
+    return RVEstimate(rho, dispersion, per_ratio, sign * slope, anchor, method)
+
+
 def rv_index_from_transform(
     measure: SignedMeasure,
     ratio_points: Sequence[float] = DEFAULT_RATIO_POINTS,
@@ -112,37 +151,23 @@ def rv_index_from_transform(
     transform vanishes or changes sign on the grid (the index is then
     undefined).
     """
-    taus = sorted({float(t) for t in tau_grid}, reverse=True)
-    if not taus or taus[-1] <= 0:
-        raise ValueError("tau grid must be positive")
+    taus = grid(tau_grid, "tau grid", descending=True)
     psis = {t: laplace_transform(measure, t) for t in taus}
-    signs = {math.copysign(1.0, v) for v in psis.values() if v != 0.0}
-    if len(signs) != 1 or any(v == 0.0 for v in psis.values()):
-        raise SignChangeNearZero(
-            "transform changes sign or vanishes on the small-argument grid"
-        )
+    _one_signed(psis.__getitem__, taus, SignChangeNearZero,
+                "transform changes sign or vanishes on the small-argument grid")
     anchor = taus[-1]
     base = psis[anchor]
     per_ratio: dict[float, float] = {}
-    for lam in ratio_points:
-        lam = float(lam)
-        if lam <= 0 or lam == 1.0:
-            continue  # lam == 1 carries no information (0/0 exponent)
+    for lam in _ratio_points(ratio_points):
         r = laplace_transform(measure, lam * anchor) / base
         if r <= 0:
             raise SignChangeNearZero(
                 f"transform ratio at {lam} * {anchor} is not positive"
             )
         per_ratio[lam] = -math.log(r) / math.log(lam)
-    if not per_ratio:
-        raise ValueError("ratio points must contain a positive value != 1")
-    rho = float(median(per_ratio.values()))
-    dispersion = max(abs(v - rho) for v in per_ratio.values())
     small = taus[tail_start(len(taus)):]
-    slope = float(np.polyfit(
-        np.log(small), np.log([abs(psis[t]) for t in small]), 1,
-    )[0]) if len(small) >= 2 else math.nan
-    return RVEstimate(rho, dispersion, per_ratio, -slope, anchor, "transform")
+    return _estimate(per_ratio, small, [abs(psis[t]) for t in small], -1.0, anchor,
+                     "transform")
 
 
 def rv_index_from_distribution(
@@ -157,22 +182,13 @@ def rv_index_from_distribution(
     `window_decades` of the grid to damp oscillatory corrections.  Raises
     SignChangeNearInfinity when F vanishes or changes sign there.
     """
-    ts = sorted({float(t) for t in t_grid})
-    if not ts or ts[0] <= 0:
-        raise ValueError("t grid must be positive")
-    t_max = ts[-1]
-    window = [t for t in ts if t >= t_max / 10.0 ** window_decades]
+    ts = grid(t_grid, "t grid")
+    window = _window(ts, window_decades)
     F = measure.distribution
-    signs = {math.copysign(1.0, F(t)) for t in window if F(t) != 0.0}
-    if len(signs) != 1 or any(F(t) == 0.0 for t in window):
-        raise SignChangeNearInfinity(
-            "distribution function changes sign or vanishes on the window"
-        )
+    _one_signed(F, window, SignChangeNearInfinity,
+                "distribution function changes sign or vanishes on the window")
     per_ratio: dict[float, float] = {}
-    for x in ratio_points:
-        x = float(x)
-        if x <= 0 or x == 1.0:
-            continue
+    for x in _ratio_points(ratio_points):
         ests = []
         for t in window:
             r = F(x * t) / F(t)
@@ -182,14 +198,8 @@ def rv_index_from_distribution(
                 )
             ests.append(math.log(r) / math.log(x))
         per_ratio[x] = float(np.mean(ests))
-    if not per_ratio:
-        raise ValueError("ratio points must contain a positive value != 1")
-    rho = float(median(per_ratio.values()))
-    dispersion = max(abs(v - rho) for v in per_ratio.values())
-    slope = float(np.polyfit(
-        np.log(window), np.log([abs(F(t)) for t in window]), 1,
-    )[0]) if len(window) >= 2 else math.nan
-    return RVEstimate(rho, dispersion, per_ratio, slope, t_max, "distribution")
+    return _estimate(per_ratio, window, [abs(F(t)) for t in window], 1.0, ts[-1],
+                     "distribution")
 
 
 def rv_report(
@@ -239,16 +249,12 @@ def sign_ratio_condition(
     pass is sound.  The measured ratio against the exact total-variation
     transform is reported per grid point whenever available.
     """
-    taus = sorted({float(t) for t in tau_grid}, reverse=True)
-    if not taus or taus[-1] <= 0:
-        raise ValueError("tau grid must be positive")
-    notes: tuple[str, ...]
+    taus = grid(tau_grid, "tau grid", descending=True)
     try:
         tv = total_variation(measure)
         denom = lambda t: laplace_transform(tv, t)  # noqa: E731
         method = "exact total variation"
     except SignChangeIsolationFailure:
-        tv = None
         denom = lambda t: envelope_transform(measure, t)  # noqa: E731
         method = "envelope upper bound"
     notes = (f"denominator: {method}",)
@@ -278,16 +284,13 @@ def sign_ratio_condition(
         status = "fail"
     else:
         status = "inconclusive"
-    witnesses = ()
-    if status != "pass":
-        k = min(range(len(taus)), key=lambda i: ratios[i])
-        witnesses = ({"tau": taus[k], "bound_ratio": ratios[k]},)
+    k = min(range(len(taus)), key=lambda i: ratios[i])
     return VerdictReport(
         check="sign_ratio_condition",
         status=status,
         statistics={"min_tail_bound_ratio": stat},
         tolerances={"floor": floor, "band": band},
-        witnesses=witnesses,
+        witnesses=({"tau": taus[k], "bound_ratio": ratios[k]},),
         notes=notes,
         table=tuple(table),
     )
@@ -312,10 +315,8 @@ def window_increment_condition(
     x = float(point)
     if x <= 0:
         raise ValueError(f"point must be > 0, got {x}")
-    taus = sorted({float(t) for t in tau_grid}, reverse=True)
-    hs = sorted({float(h) for h in h_grid}, reverse=True)
-    if not hs or hs[-1] <= 0:
-        raise ValueError("window grid must be positive")
+    taus = grid(tau_grid, "tau grid", descending=True)
+    hs = grid(h_grid, "window grid", descending=True)
     psis = {}
     for t in taus:
         v = laplace_transform(measure, t)
@@ -331,18 +332,14 @@ def window_increment_condition(
         ]
         inner[h] = max(vals[tail_start(len(vals)):])
     small_hs = hs[tail_start(len(hs)):]
-    stat = max(inner[h] for h in small_hs)
-    status = classify(stat, ceiling, band)
-    witnesses = ()
-    if status != "pass":
-        worst_h = max(small_hs, key=lambda h: inner[h])
-        witnesses = ({"h": worst_h, "value": inner[worst_h]},)
+    worst_h = max(small_hs, key=lambda h: inner[h])
+    stat = inner[worst_h]
     return VerdictReport(
         check="window_increment_condition",
-        status=status,
+        status=classify(stat, ceiling, band),
         statistics={"max_small_window_stat": stat, "point": x},
         tolerances={"ceiling": ceiling, "band": band},
-        witnesses=witnesses,
+        witnesses=({"h": worst_h, "value": stat},),
         table=tuple({"h": h, "tail_max": inner[h]} for h in hs),
     )
 
@@ -359,8 +356,8 @@ def asymptotic_ratio(
     decade(s) of the t grid, compared against 1 within tol."""
     if rho < 0:
         raise ValueError(f"index must be >= 0, got {rho}")
-    ts = sorted({float(t) for t in t_grid})
-    t_max = ts[-1]
+    ts = grid(t_grid, "t grid")
+    window = _window(ts, window_decades)
     gamma_factor = math.gamma(rho + 1.0)
     table = []
     window_vals = []
@@ -372,27 +369,22 @@ def asymptotic_ratio(
             skipped.append(t)
             continue
         ratio = psi / (F * gamma_factor)
-        in_window = t >= t_max / 10.0 ** window_decades
         table.append({"t": t, "ratio": ratio})
-        if in_window:
+        if t in window:
             window_vals.append(ratio)
     if not window_vals:
         raise ZeroTransform("distribution function vanishes on the whole window")
     mean_ratio = float(np.mean(window_vals))
     stat = abs(mean_ratio - 1.0)
-    status = classify(stat, tol, band)
     notes = ()
     if skipped:
         notes = (f"skipped {len(skipped)} grid point(s) with F(t) == 0",)
-    witnesses = ()
-    if status != "pass":
-        witnesses = ({"windowed_mean": mean_ratio},)
     return VerdictReport(
         check="asymptotic_ratio",
-        status=status,
+        status=classify(stat, tol, band),
         statistics={"windowed_mean": mean_ratio, "abs_deviation": stat},
         tolerances={"tol": tol, "band": band},
-        witnesses=witnesses,
+        witnesses=({"windowed_mean": mean_ratio},),
         notes=notes,
         table=tuple(table),
     )
@@ -409,27 +401,19 @@ def gamma_limit_measure(rho: float) -> SignedMeasure:
     return SignedMeasure.from_density((Term(1.0 / math.gamma(rho), rho - 1.0),))
 
 
-def rescaled_family(
-    measure: SignedMeasure,
-    rho: float | None = None,
-    tau_rule: Callable[[int], float] | None = None,
-) -> MeasureSequence:
-    """Family nu_n = (rescale measure by 1/tau_n, normalise by psi(tau_n)),
-    declared to converge to the gamma-type limit with parameter rho
-    (estimated from the transform when not supplied).
+def rescaled_family(measure: SignedMeasure, rho: float | None = None) -> MeasureSequence:
+    """Family nu_n = (rescale measure by 1/tau_n, normalise by psi(tau_n))
+    with tau_n = 1/n, declared to converge to the gamma-type limit with
+    parameter rho (estimated from the transform when not supplied).
 
     Raises ZeroTransform when a normaliser psi(tau_n) vanishes.
     """
-    if tau_rule is None:
-        tau_rule = lambda n: 1.0 / n  # noqa: E731
     if rho is None:
         rho = rv_index_from_transform(measure).index
     limit = gamma_limit_measure(rho)
 
     def rule(n: int) -> SignedMeasure:
-        tau = float(tau_rule(n))
-        if tau <= 0:
-            raise ValueError(f"tau rule must be positive, got {tau} at n={n}")
+        tau = 1.0 / n
         norm = laplace_transform(measure, tau)
         if norm == 0.0:
             raise ZeroTransform(f"normaliser psi({tau}) vanishes at n={n}")
@@ -451,19 +435,14 @@ def slow_variation_diagnostic(
 ) -> VerdictReport:
     """Check that l(t) = F(t)/t^rho is slowly varying: l(x t)/l(t) -> 1
     over the top decade(s) of the grid for each ratio point."""
-    ts = sorted({float(t) for t in t_grid})
-    t_max = ts[-1]
-    window = [t for t in ts if t >= t_max / 10.0 ** window_decades]
+    window = _window(grid(t_grid, "t grid"), window_decades)
 
     def ell(t: float) -> float:
         return measure.distribution(t) / t ** rho
 
     devs = []
     table = []
-    for x in ratio_points:
-        x = float(x)
-        if x <= 0 or x == 1.0:
-            continue
+    for x in _ratio_points(ratio_points):
         rs = []
         for t in window:
             lt = ell(t)
@@ -536,11 +515,13 @@ def karamata_pipeline(
     if direction not in ("psi_to_F", "F_to_psi"):
         raise ValueError(f"unknown direction {direction!r}")
     children: list[VerdictReport] = []
+    index_report = partial(rv_report, rho_tol=cfg.rho_tol, band=cfg.band)
+    index_from_F = partial(rv_index_from_distribution, ratio_points=cfg.ratio_points,
+                           t_grid=cfg.t_grid, window_decades=cfg.window_decades)
     if direction == "psi_to_F":
         est = rv_index_from_transform(measure, cfg.ratio_points, cfg.tau_grid)
         rho = cfg.rho if cfg.rho is not None else est.index
-        children.append(rv_report(est, declared=cfg.rho, rho_tol=cfg.rho_tol,
-                                  band=cfg.band, check="rv_index_transform"))
+        children.append(index_report(est, cfg.rho))
         children.append(sign_ratio_condition(measure, cfg.tau_grid, cfg.floor,
                                              band=cfg.band))
         children.append(_sweep(
@@ -575,10 +556,8 @@ def karamata_pipeline(
             family, cfg.eval_points, n_max=cfg.n_max, ratio=cfg.grid_ratio,
             tol=cfg.F_tol, band=cfg.band, exclude=family.exceptional,
         ))
-        est_F = rv_index_from_distribution(measure, cfg.ratio_points, cfg.t_grid,
-                                           cfg.window_decades)
-        children.append(rv_report(est_F, declared=rho, rho_tol=cfg.rho_tol,
-                                  band=cfg.band, check="rv_index_distribution"))
+        est_F = index_from_F(measure)
+        children.append(index_report(est_F, rho))
         children.append(asymptotic_ratio(measure, rho, cfg.t_grid,
                                          cfg.window_decades, cfg.ratio_tol, cfg.band))
         children.append(slow_variation_diagnostic(
@@ -587,11 +566,9 @@ def karamata_pipeline(
         ))
         headline = {"rho": rho, "rho_transform": est.index, "rho_distribution": est_F.index}
     else:
-        est_F = rv_index_from_distribution(measure, cfg.ratio_points, cfg.t_grid,
-                                           cfg.window_decades)
+        est_F = index_from_F(measure)
         rho = cfg.rho if cfg.rho is not None else est_F.index
-        children.append(rv_report(est_F, declared=cfg.rho, rho_tol=cfg.rho_tol,
-                                  band=cfg.band, check="rv_index_distribution"))
+        children.append(index_report(est_F, cfg.rho))
         xi = measure.integrated_tail(cfg.integrated_tail_start)
         nonneg = certified_nonnegative(xi)
         children.append(VerdictReport(
@@ -604,15 +581,12 @@ def karamata_pipeline(
                 "integrated-tail density could not be certified nonnegative",
             ),
         ))
-        est_xi = rv_index_from_distribution(xi, cfg.ratio_points, cfg.t_grid,
-                                            cfg.window_decades)
-        children.append(rv_report(est_xi, declared=rho + 1.0, rho_tol=cfg.rho_tol,
-                                  band=cfg.band, check="rv_index_integrated_tail"))
+        est_xi = index_from_F(xi)
+        children.append(index_report(est_xi, rho + 1.0, check="rv_index_integrated_tail"))
         children.append(asymptotic_ratio(measure, rho, cfg.t_grid,
                                          cfg.window_decades, cfg.ratio_tol, cfg.band))
         est_psi = rv_index_from_transform(measure, cfg.ratio_points, cfg.tau_grid)
-        children.append(rv_report(est_psi, declared=rho, rho_tol=cfg.rho_tol,
-                                  band=cfg.band, check="rv_index_transform"))
+        children.append(index_report(est_psi, rho))
         headline = {"rho": rho, "rho_distribution": est_F.index,
                     "rho_integrated_tail": est_xi.index, "rho_transform": est_psi.index}
     return VerdictReport(

@@ -3,6 +3,7 @@ tests, and the two theorem-shaped composites (including the designed
 counterexample family delta_x - delta_{x+1/n})."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from tauber import (
     MeasureSequence,
     SignedMeasure,
     Term,
+    VerdictReport,
     bounded_laplace_test,
     classify,
     continuity_backward,
@@ -110,6 +112,16 @@ def test_only_bounded_laplace_fits_a_slope(monkeypatch):
     assert fits == []
     bounded_laplace_test(seq, LAMBDAS, n_max=1000)
     assert len(fits) == len(LAMBDAS)
+
+
+def test_a_pass_names_no_witness():
+    witness = {"n": 8, "value": 1.0}
+    passed = VerdictReport("c", "pass", witnesses=(witness,))
+    assert passed.witnesses == () and "witnesses" not in passed.to_dict()
+    for status in ("fail", "inconclusive"):
+        assert VerdictReport("c", status, witnesses=(witness,)).witnesses == (witness,)
+    failed = VerdictReport("c", "fail", witnesses=(witness,))
+    assert replace(failed, status="pass").witnesses == ()
 
 
 def test_classify_three_values():

@@ -7,7 +7,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauber import (
@@ -308,6 +308,12 @@ def test_certified_nonnegative_on_random_positive_measures(rng):
     width=st.one_of(st.just(math.inf), st.floats(1e-3, 50.0)),
 )
 @settings(max_examples=N_PROPERTY_CASES, deadline=None)
+# x**6 overflowed in the eventual-sign bound while x doubled towards 2**256
+@example(sign=1.0, terms=[(1.0, 0.0, 0.00390625), (1.0, 6.0, 1.0),
+                          (1.0, 0.00390625, 0.00390625)], lo=0.0, width=math.inf)
+# a certificate near x = 1e54 made the sampler evaluate x**6 past the largest double
+@example(sign=1.0, terms=[(1.0, 0.0, 0.0), (1.0, 1.0, 1.756379024792906e-51),
+                          (1.0, 6.0, 1.0)], lo=0.0, width=math.inf)
 def test_one_signed_plain_density_runs_equal_the_sampled_runs(sign, terms, lo, width):
     expr = Expression(tuple(Term(sign * c, p, a) for c, p, a in terms))
     seg = DensitySegment(lo, lo + width, expr)
@@ -318,6 +324,23 @@ def test_one_signed_plain_density_runs_equal_the_sampled_runs(sign, terms, lo, w
     except SignChangeIsolationFailure:
         return  # e.g. every sample underflows to 0.0: the shortcut still knows
     assert runs == sampled
+
+
+def test_eventual_sign_bound_does_not_overflow():
+    # x^(1/256) e^(-x/256) - 0.9 e^(-x/256) + x^6 e^(-x): the x^6 term is tiny
+    # long before x^(-1/256) falls below the margin, but x**6 alone overflowed
+    m = SignedMeasure.from_density(
+        (Term(1.0, 1 / 256, 1 / 256), Term(-0.9, 0.0, 1 / 256), Term(1.0, 6.0, 1.0)),
+    )
+    (seg,) = m.segments
+    assert eventual_sign(seg.density) is None  # none before x**6 would overflow
+    with pytest.raises(SignChangeIsolationFailure):
+        sign_runs(seg)
+    with pytest.raises(SignChangeIsolationFailure):
+        jordan(m)
+    assert not certified_nonnegative(m)
+    value = abs_transform(m, 1.0)  # answered by quadrature
+    assert math.isfinite(value.value) and value.error_bound > 0.0
 
 
 def test_one_signed_density_that_underflows_on_the_sample_grid():

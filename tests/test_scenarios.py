@@ -464,10 +464,29 @@ def test_unknown_check_parameter_is_rejected_at_load():
     (lambda d: d["checks"][4].pop("sequence"), "checks[4].sequence"),
     (lambda d: d["checks"].append({"check": "karamata_pipeline", "measure": "expo",
                                    "direction": "sideways"}), "checks[5].direction"),
+    # every grid is positive by the one `grid` rule, found at load, not at run time
+    (lambda d: d["checks"].append({"check": "asymptotic_ratio", "measure": "expo",
+                                   "rho": 0.0, "t_grid": [0.0, 10.0, 100.0]}),
+     "checks[5].t_grid"),
+    (lambda d: d["checks"].append({"check": "window_increment_condition", "measure": "expo",
+                                   "tau_grid": [1.0, -0.5]}), "checks[5].tau_grid"),
+    (lambda d: d["checks"].append({"check": "right_equicontinuity", "sequence": "shrink",
+                                   "point": 1.0, "h_grid": [0.5, 0.0]}), "checks[5].h_grid"),
+    (lambda d: d["checks"].append({"check": "karamata_pipeline", "measure": "expo",
+                                   "eval_points": [0.0, 1.0]}), "checks[5].eval_points"),
+    (lambda d: d["checks"].append({"check": "karamata_pipeline", "measure": "expo",
+                                   "ratio_points": [-2.0, 2.0]}), "checks[5].ratio_points"),
+    (lambda d: d.update(config={"n_max": 0}), "config.n_max"),
+    (lambda d: d.update(config={"grid_ratio": 1.0}), "config.grid_ratio"),
+    (lambda d: d["checks"][4].update(n_max=0), "checks[4].n_max"),
+    (lambda d: d["checks"][4].update(grid_ratio=0.5), "checks[4].grid_ratio"),
 ], ids=["missing-lambdas", "lambdas-string", "lambdas-entry", "eps-empty", "tol-list",
         "n_max-string", "unknown-config-key", "duplicate-id", "expected-outside-lambdas",
         "expected-entry", "bool-string", "unknown-measure", "unknown-sequence",
-        "missing-sequence", "unknown-direction"])
+        "missing-sequence", "unknown-direction", "t_grid-zero", "tau_grid-negative",
+        "h_grid-zero", "karamata-eval_points-zero", "karamata-ratio_points-negative",
+        "config-n_max-zero", "config-grid_ratio-one", "check-n_max-zero",
+        "check-grid_ratio-below-one"])
 def test_parameter_errors_surface_at_load(mutate, field):
     doc = tiny_scenario()
     mutate(doc)

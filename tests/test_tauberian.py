@@ -238,6 +238,21 @@ def test_slow_variation_diagnostic():
     assert slow_variation_diagnostic(power_measure(2.0), 1.0).status == "fail"
 
 
+@pytest.mark.parametrize("bad", [(), (0.0, 1.0, 10.0)], ids=["empty", "zero"])
+@pytest.mark.parametrize("check", [
+    lambda m, g: window_increment_condition(m, 1.0, tau_grid=g),
+    lambda m, g: window_increment_condition(m, 1.0, h_grid=g),
+    lambda m, g: asymptotic_ratio(m, 2.0, t_grid=g),
+    lambda m, g: slow_variation_diagnostic(m, 2.0, t_grid=g),
+], ids=["window_increment-tau", "window_increment-h", "asymptotic_ratio",
+        "slow_variation"])
+def test_grid_checks_refuse_an_empty_or_nonpositive_grid(check, bad):
+    # these gave IndexError, ZeroDivisionError or a vacuous pass before
+    # they shared the one `grid` rule
+    with pytest.raises(ValueError, match="must be a nonempty list of positive"):
+        check(power_measure(2.0), bad)
+
+
 # ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
