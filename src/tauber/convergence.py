@@ -73,10 +73,10 @@ class MeasureSequence:
 
 def index_grid(n_max: int = DEFAULT_N_MAX, ratio: float = DEFAULT_RATIO) -> tuple[int, ...]:
     """Geometric index grid {1, ceil(r), ceil(r^2), ...} capped at n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if not ratio > 1.0:
-        raise ValueError(f"grid ratio must be > 1, got {ratio}")
+    if not 1 <= n_max < math.inf:
+        raise ValueError(f"n_max must be finite and >= 1, got {n_max}")
+    if not 1.0 < ratio < math.inf:
+        raise ValueError(f"grid ratio must be finite and > 1, got {ratio}")
     out = {1, n_max}
     x = 1.0
     while x < n_max:

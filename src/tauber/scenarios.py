@@ -244,7 +244,7 @@ def _coerce(spec: dict[str, tuple[Callable, Any]], given: dict, where: str) -> d
 # -- the check table ------------------------------------------------------
 
 # scenario `config` keys, which a grid check may also set for itself
-_GRID_PARAMS = {  # index_grid refuses an n_max below 1 and a ratio not above 1
+_GRID_PARAMS = {  # index_grid refuses inf, an n_max below 1 and a ratio not above 1
     "n_max": (_checked(_int, index_grid), DEFAULT_N_MAX),
     "grid_ratio": (_checked(_number, lambda r: index_grid(2, r)), DEFAULT_RATIO),
     "band": (_number, DEFAULT_BAND),

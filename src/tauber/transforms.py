@@ -11,12 +11,16 @@ computed per segment through three tiers:
    per-period integrals are closed-form and the sum over periods is a
    polynomial-geometric series evaluated exactly (Eulerian-number form of
    sum k^j q^k), so the result is exact even at very small lam;
-3. certified-truncation quadrature: an envelope tail bound picks the
-   truncation point, the bounded part is integrated numerically in
-   oscillation-sized chunks, and the reported error bound covers both.
+3. truncated sign runs, for an unbounded segment with neither a tail
+   certificate nor a periodic structure: an envelope tail bound picks a
+   truncation point T, the window [lo, T] is split along its sign runs
+   and integrated in closed form as in tier 1, and the tail beyond T,
+   which lies between 0 and its envelope bound, counts as half that
+   bound, which is also the reported error bound.
 
-Tier 3 is the only inexact path and reports its error bound.  It is also
-the only path that needs scipy.integrate, which `quad` imports on first use.
+Tier 3 is the only inexact path and reports its error bound.  No tier
+uses scipy.integrate: only `quadrature_transform`, the independent
+cross-check, does, and `quad` imports it on first use.
 
 The convergence checks and Karamata pipelines ask for the same measures
 at the same lam many times, so both transforms are memoised with
@@ -24,11 +28,12 @@ at the same lam many times, so both transforms are memoised with
 `abs_transform` each `TransformValue`, in the measure's memo, keyed by
 the arguments the computation uses.  Below it, a segment's memo keeps
 only what does not depend on lam (its sign runs and periodic tail, see
-`decomposition`): a repeat at the same lam is answered by the measure
-first, so a per-segment value memo would never be read.  A memo lives
-as long as its owner does.  `DivergentTransform`, and the ValueError for
-a NaN lam, are raised afresh on every call: the lam checks run before the
-lookup.
+`decomposition`), and tier 3's window runs keyed by T, which doubles
+from max(lo, 1) and so takes few values across a lam grid: a repeat at
+the same lam is answered by the measure first, so a per-segment value
+memo would never be read.  A memo lives as long as its owner does.
+`DivergentTransform`, and the ValueError for a NaN lam, are raised
+afresh on every call: the lam checks run before the lookup.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
-from .decomposition import PeriodicTail, periodic_tail_structure, sign_runs
+from .decomposition import PeriodicTail, SignRun, periodic_tail_structure, sign_runs
 from .errors import DivergentTransform, SignChangeIsolationFailure
-from .measures import DensitySegment, SignedMeasure, Term, _memo
+from .measures import DensitySegment, Expression, SignedMeasure, Term, _memo
 
 __all__ = [
     "TransformValue",
@@ -50,7 +56,7 @@ __all__ = [
     "quadrature_transform",
 ]
 
-DEFAULT_ABS_TOL = 1e-10
+ABS_TOL = 1e-10
 _QUAD_LIMIT = 500
 _TRUNCATION_CAP = 1e9
 
@@ -165,27 +171,27 @@ def _periodic_abs_integral(pt: PeriodicTail, lam: float) -> float:
     return total
 
 
-# -- certified-truncation quadrature ----------------------------------
+# -- truncation and quadrature ------------------------------------------
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first quadrature-tier call."""
+    """scipy.integrate.quad, imported on the first `quadrature_transform` call."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
 
 
-def _truncation_point(seg: DensitySegment, lam: float, abs_tol: float) -> tuple[float, float]:
-    """(T, tail): where a segment's quadrature ends and a bound on the rest;
-    (hi, 0) when bounded, else the first T whose envelope tail integral
-    over [T, inf) is at most abs_tol/2."""
+def _truncation_point(seg: DensitySegment, lam: float) -> tuple[float, float]:
+    """(T, tail): where a segment's integration window ends and a bound on
+    the rest; (hi, 0) when bounded, else the first T whose envelope tail
+    integral over [T, inf) is at most ABS_TOL/2."""
     if not seg.unbounded:
         return seg.hi, 0.0
     env = seg.density.envelope()
     t = max(seg.lo, 1.0)
     while t < _TRUNCATION_CAP:
         tail = env.integral(t, math.inf, extra_decay=lam)
-        if tail <= 0.5 * abs_tol:
+        if tail <= 0.5 * ABS_TOL:
             return t, tail
         t *= 2.0
     raise SignChangeIsolationFailure(
@@ -194,34 +200,9 @@ def _truncation_point(seg: DensitySegment, lam: float, abs_tol: float) -> tuple[
     )
 
 
-def _quad_abs_segment(
-    seg: DensitySegment, lam: float, abs_tol: float
-) -> tuple[float, float]:
-    """Quadrature of |density| * exp(-lam x); returns (value, error_bound)."""
-    expr = seg.density
-    hi, tail_err = _truncation_point(seg, lam, abs_tol)
-    b_max = expr.max_freq
-    chunk = min(hi - seg.lo, max(1.0, math.pi / b_max) if b_max > 0 else hi - seg.lo)
-    n_chunks = max(1, int(math.ceil((hi - seg.lo) / chunk)))
-    edges = [seg.lo + (hi - seg.lo) * i / n_chunks for i in range(n_chunks + 1)]
-
-    def f(x: float) -> float:
-        return abs(expr.evaluate(x)) * math.exp(-lam * x)
-
-    total, err = 0.0, 0.0
-    per_chunk = max(abs_tol / (2 * n_chunks), 1e-14)
-    for a, b in zip(edges, edges[1:]):
-        v, e = quad(f, a, b, epsabs=per_chunk, limit=_QUAD_LIMIT)
-        total += v
-        err += e
-    return total, err + tail_err
-
-
-def _quad_signed_segment(
-    seg: DensitySegment, lam: float, abs_tol: float
-) -> tuple[float, float]:
+def _quad_signed_segment(seg: DensitySegment, lam: float) -> tuple[float, float]:
     """Term-wise quadrature of density * exp(-lam x), for `quadrature_transform`."""
-    hi, tail_err = _truncation_point(seg, lam, abs_tol)
+    hi, tail_err = _truncation_point(seg, lam)
     total, err = 0.0, 0.0
     for t in seg.density.terms:
         sigma = t.decay + lam
@@ -230,12 +211,12 @@ def _quad_signed_segment(
             return _t.coefficient * x ** _t.power * math.exp(-_s * x)
 
         if t.kind == "":
-            v, e = quad(base, seg.lo, hi, epsabs=abs_tol / 4, limit=_QUAD_LIMIT)
+            v, e = quad(base, seg.lo, hi, epsabs=ABS_TOL / 4, limit=_QUAD_LIMIT)
         else:
             v, e = quad(
                 base, seg.lo, hi,
                 weight=t.kind, wvar=t.freq,
-                epsabs=abs_tol / 4, limit=_QUAD_LIMIT,
+                epsabs=ABS_TOL / 4, limit=_QUAD_LIMIT,
             )
         total += v
         err += e
@@ -245,60 +226,49 @@ def _quad_signed_segment(
 # -- total-variation transform -----------------------------------------
 
 
-def _abs_segment(
-    seg: DensitySegment, lam: float, allow_quadrature: bool, abs_tol: float
-) -> tuple[float, float]:
+def _abs_segment(seg: DensitySegment, lam: float) -> tuple[float, float]:
     """(value, error_bound) of |density| * exp(-lam x) over the segment."""
     if seg.unbounded and seg.density.min_decay + lam <= 0.0:
         return math.inf, 0.0
     try:
-        runs = sign_runs(seg)
-        value = math.fsum(
-            r.sign * seg.density.integral(r.lo, r.hi, extra_decay=lam) for r in runs
-        )
-        return value, 0.0
+        return _abs_runs(seg.density, sign_runs(seg), lam), 0.0
     except SignChangeIsolationFailure:
-        pass
+        if not seg.unbounded:
+            raise
     pt = periodic_tail_structure(seg)
     if pt is not None:
         return _periodic_abs_integral(pt, lam), 0.0
-    if not allow_quadrature:
-        raise SignChangeIsolationFailure(
-            f"segment at [{seg.lo}, {seg.hi}) has no exact total-variation "
-            "path and quadrature was disallowed"
-        )
-    return _quad_abs_segment(seg, lam, abs_tol)
+    hi, tail = _truncation_point(seg, lam)
+    runs = _memo(seg, ("window", hi), lambda: tuple(
+        sign_runs(DensitySegment(seg.lo, hi, seg.density)) if hi > seg.lo else ()))
+    return _abs_runs(seg.density, runs, lam) + 0.5 * tail, 0.5 * tail
 
 
-def abs_transform(
-    measure: SignedMeasure,
-    lam: float,
-    allow_quadrature: bool = True,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> TransformValue:
+def _abs_runs(density: Expression, runs: Iterable[SignRun], lam: float) -> float:
+    """integral of |density| * exp(-lam x) over `runs`, sign runs of density."""
+    return math.fsum(r.sign * density.integral(r.lo, r.hi, extra_decay=lam) for r in runs)
+
+
+def abs_transform(measure: SignedMeasure, lam: float) -> TransformValue:
     """Transform of the total-variation measure |mu| at lam.
 
     Exact whenever each segment admits sign-run isolation or a periodic
-    tail structure; otherwise falls back to certified quadrature (unless
-    disallowed).  Returns +inf (exactly) when |mu|'s transform diverges.
-    Computed once per measure object and argument triple (see
-    `measures._memo`).
+    tail structure; otherwise exact on the sign runs of a window [lo, T]
+    with half the envelope bound on the tail beyond T as the error bound.
+    Returns +inf (exactly) when |mu|'s transform diverges.  Raises
+    SignChangeIsolationFailure when the sign runs of a bounded segment or
+    of a window cannot be isolated, or no T below 1e9 bounds the tail.
+    Computed once per measure object and lam (see `measures._memo`).
     """
-    lam, allow_quadrature, abs_tol = _lam(lam), bool(allow_quadrature), float(abs_tol)
-    return _memo(
-        measure,
-        ("abs", lam, allow_quadrature, abs_tol),
-        lambda: _abs_measure(measure, lam, allow_quadrature, abs_tol),
-    )
+    lam = _lam(lam)
+    return _memo(measure, ("abs", lam), lambda: _abs_measure(measure, lam))
 
 
-def _abs_measure(
-    measure: SignedMeasure, lam: float, allow_quadrature: bool, abs_tol: float
-) -> TransformValue:
+def _abs_measure(measure: SignedMeasure, lam: float) -> TransformValue:
     value = math.fsum(abs(a.weight) * math.exp(-lam * a.location) for a in measure.atoms)
     err = 0.0
     for seg in measure.segments:
-        v, e = _abs_segment(seg, lam, allow_quadrature, abs_tol)
+        v, e = _abs_segment(seg, lam)
         if math.isinf(v):
             return TransformValue(math.inf, 0.0)
         value += v
@@ -317,21 +287,19 @@ def tilt_identity_residual(measure: SignedMeasure, eps: float, lam: float) -> fl
 # -- quadrature cross-check ----------------------------------------------
 
 
-def quadrature_transform(
-    measure: SignedMeasure, lam: float, abs_tol: float = DEFAULT_ABS_TOL
-) -> TransformValue:
+def quadrature_transform(measure: SignedMeasure, lam: float) -> TransformValue:
     """Signed transform at lam by term-wise quadrature, with its error bound.
 
     An independent cross-check of `laplace_transform`'s closed forms;
     unbounded segments are truncated where the envelope tail is below
-    abs_tol/2, and that tail is part of the bound.
+    ABS_TOL/2, and that tail is part of the bound.
     """
     lam = _lam(lam)
     _check_convergent(measure, lam)
     value = math.fsum(a.weight * math.exp(-lam * a.location) for a in measure.atoms)
     err = 0.0
     for seg in measure.segments:
-        v, e = _quad_signed_segment(seg, lam, abs_tol)
+        v, e = _quad_signed_segment(seg, lam)
         value += v
         err += e
     return TransformValue(value, err)

@@ -9,6 +9,8 @@ tail sign is certifiable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,73 @@ def random_measure(rng, *, signed=True, with_tail=True, certifiable=False):
         return random_measure(rng, signed=signed, with_tail=with_tail,
                               certifiable=certifiable)
     return m
+
+
+def mpmath_abs_transform(measure, lam, step=1e-3, digits=30):
+    """|mu|'s transform at lam from exact mpmath antiderivatives, as an
+    oracle for `abs_transform`; integer powers only.
+
+    The roots of each density are bracketed on a grid of the given step
+    (far finer than the package's sampler) and bisected in floats to
+    adjacent doubles; a root misplaced by d changes a run integral by
+    about |f'| d^2, far below the digits kept.  Each run's signed
+    integral is then taken in closed form at `digits` digits and its
+    absolute value summed.  An unbounded segment is cut at the first
+    X = 2^k past its left end where the envelope tail beyond X is below
+    10^-digits.
+    """
+    import mpmath as mp
+
+    with mp.workdps(digits + 5):
+        lam = mp.mpf(lam)
+
+        def primitive(t, x):
+            # integral of t.coefficient x^k e^(zx) with z = -(decay + lam) + i freq
+            k = int(t.power)
+            z = mp.mpc(-(t.decay + lam), t.freq if t.kind else 0.0)
+            x = mp.mpf(x)
+            if z == 0:
+                return mp.mpc(t.coefficient * x ** (k + 1) / (k + 1))
+            series = mp.fsum((-1) ** j * mp.factorial(k) / mp.factorial(k - j)
+                             * x ** (k - j) / z ** (j + 1) for j in range(k + 1))
+            return t.coefficient * mp.exp(z * x) * series
+
+        def run_integral(terms, u, v):
+            parts = [primitive(t, v) - primitive(t, u) for t in terms]
+            return mp.fsum(w.imag if t.kind == "sin" else w.real for t, w in zip(terms, parts))
+
+        def density(terms, x):
+            out = np.zeros_like(x)
+            for t in terms:
+                part = t.coefficient * x ** t.power * np.exp(-t.decay * x)
+                out += part * getattr(np, t.kind)(t.freq * x) if t.kind else part
+            return out
+
+        total = mp.fsum(abs(a.weight) * mp.exp(-lam * a.location) for a in measure.atoms)
+        for seg in measure.segments:
+            terms = seg.density.terms
+            assert all(float(t.power).is_integer() and t.power >= 0 for t in terms)
+            hi = seg.hi
+            if math.isinf(hi):
+                hi = max(seg.lo, 1.0)
+                while mp.fsum(abs(t.coefficient) * mp.gammainc(t.power + 1, (t.decay + lam) * hi)
+                              / (t.decay + lam) ** (t.power + 1) for t in terms) > 10.0 ** -digits:
+                    hi *= 2.0
+            xs = np.linspace(seg.lo, hi, int(math.ceil((hi - seg.lo) / step)) + 1)
+            up = density(terms, xs) > 0
+            flips = np.flatnonzero(up[1:] != up[:-1])
+            a, b = xs[flips], xs[flips + 1]
+            for _ in range(1100):  # until each bracket is two adjacent doubles
+                mid = 0.5 * (a + b)
+                live = (mid > a) & (mid < b)
+                if not live.any():
+                    break
+                same = (density(terms, mid) > 0) == up[flips]
+                a = np.where(live & same, mid, a)
+                b = np.where(live & ~same, mid, b)
+            edges = [seg.lo, *a.tolist(), hi]
+            total += mp.fsum(abs(run_integral(terms, u, v)) for u, v in zip(edges, edges[1:]))
+        return total
 
 
 @pytest.fixture

@@ -61,6 +61,9 @@ def test_index_grid_is_geometric_and_capped():
     assert 8192 in g
     small = index_grid(7, 2.0)
     assert small == (1, 2, 4, 7)
+    for n_max, ratio in [(10, math.inf), (math.inf, 2.0)]:
+        with pytest.raises(ValueError):
+            index_grid(n_max, ratio)
 
 
 def test_tail_estimate_extrapolates_first_order_error():

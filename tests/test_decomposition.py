@@ -339,7 +339,7 @@ def test_eventual_sign_bound_does_not_overflow():
     with pytest.raises(SignChangeIsolationFailure):
         jordan(m)
     assert not certified_nonnegative(m)
-    value = abs_transform(m, 1.0)  # answered by quadrature
+    value = abs_transform(m, 1.0)  # answered by truncated sign runs
     assert math.isfinite(value.value) and value.error_bound > 0.0
 
 
@@ -459,27 +459,26 @@ def test_repeat_periodic_tail_structure_does_not_isolate_again(isolations):
 
 def test_repeat_abs_transform_does_not_isolate_again(isolations, monkeypatch):
     quads = []
-    quad = transforms.quad
-
-    def counted_quad(*args, **kwargs):
-        quads.append(args)
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(transforms, "quad", counted_quad)
+    monkeypatch.setattr(transforms, "quad", lambda *args, **kwargs: quads.append(args))
     m = SignedMeasure(segments=(
         DensitySegment(0.0, 10.0, Expression((Term(1.0, 0.0, 0.0, "cos", 2.0),))),
         DensitySegment(10.0, math.inf, WORKED),
     ))
-    quad_only = SignedMeasure.from_density(Expression((
+    truncated = SignedMeasure.from_density(Expression((
         Term(1.0, 0.0, 1.0, "cos", 1.0), Term(1.0, 0.0, 1.0, "sin", math.sqrt(2.0)),
     )))
-    first = [abs_transform(m, 0.5), abs_transform(quad_only, 0.5)]
-    isolated, quadratures = len(isolations), len(quads)
-    assert isolated == 2 and quadratures > 0
-    assert [abs_transform(m, 0.5), abs_transform(quad_only, 0.5)] == first
-    assert (len(isolations), len(quads)) == (isolated, quadratures)
+    first = [abs_transform(m, 0.5), abs_transform(truncated, 0.5)]
+    assert len(isolations) == 3  # [0, 10], one period of WORKED, the window [0, T]
+    assert [abs_transform(m, 0.5), abs_transform(truncated, 0.5)] == first
     abs_transform(m, 0.7)  # another lam: new values, but no new isolation
-    assert len(isolations) == isolated
+    (seg,) = truncated.segments
+    assert transforms._truncation_point(seg, 0.4)[0] == transforms._truncation_point(seg, 0.5)[0]
+    abs_transform(truncated, 0.4)  # the same window: its runs are kept
+    assert len(isolations) == 3
+    assert transforms._truncation_point(seg, 2.0)[0] < transforms._truncation_point(seg, 0.5)[0]
+    abs_transform(truncated, 2.0)  # a shorter window is isolated once
+    assert len(isolations) == 4
+    assert quads == []  # no path of abs_transform integrates numerically
 
 
 def test_segment_memo_keeps_only_what_does_not_depend_on_lam():

@@ -22,6 +22,9 @@ with it, for the bundled ones:
 and for the others (all of them at once):
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+A rewrite that moves numbers keeps every status, and a test here shows
+that each moved number is now closer to an exact reference.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import pathlib
 
 import pytest
 
-from tauber import emit, load_scenario, run_scenario
+from tauber import TransformValue, convergence, emit, load_scenario, run_scenario
+from tests.conftest import mpmath_abs_transform
 
 ROOT = pathlib.Path(__file__).parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -39,6 +43,25 @@ SCENARIOS = sorted((ROOT / "src" / "tauber" / "data").glob("*.json"))
 STRESS = sorted((ROOT / "benchmarks" / "scenarios").glob("*.json"))
 EVERY_KIND = ROOT / "tests" / "scenarios" / "every_check_kind.json"
 SWEEP_CONFIG = {"n_max": 100_000_000, "grid_ratio": 1.25}
+
+# The numbers of `sweep/quadrature-tier-bounded-laplace.json` while the
+# total-variation transform of its incommensurable densities came from
+# QUADPACK, by JSON path.  The truncated sign-run tier moved each of them.
+QUADPACK_NUMBERS = {
+    "checks[0].report.statistics.max_tail_value": 0.9939811603838323,
+    "checks[0].report.table[0].extrapolated": 0.9836597198794562,
+    "checks[0].report.table[0].growth_rate": -0.007445345515246978,
+    "checks[0].report.table[0].tail_max": 0.9939811603838323,
+    "checks[0].report.table[1].extrapolated": 0.581318937952194,
+    "checks[0].report.table[1].growth_rate": -0.0031656862596570663,
+    "checks[0].report.table[1].tail_max": 0.5857075109630313,
+    "checks[1].report.statistics.max_tail_value": 0.9939811603838323,
+    "checks[1].report.table[0].extrapolated": 0.9836597198794562,
+    "checks[1].report.table[0].growth_rate": -0.007445345515246978,
+    "checks[1].report.table[0].tail_max": 0.9939811603838323,
+    "checks[1].report.witnesses[0].growth_rate": -0.007445345515246978,
+    "checks[1].report.witnesses[0].value": 1.3342390194133904,
+}
 
 
 def first_difference(want: bytes, got: bytes) -> str:
@@ -61,6 +84,17 @@ def assert_matches_golden(report, golden_dir: pathlib.Path, tmp_path) -> None:
             f"{out.name} differs from {golden_dir.relative_to(ROOT)}, "
             f"{first_difference(want, got)}"
         )
+
+
+def leaves(doc, path: str = "") -> dict:
+    """The leaves of a JSON document by path, as in `QUADPACK_NUMBERS`."""
+    if isinstance(doc, dict):
+        return {k: v for key, value in doc.items()
+                for k, v in leaves(value, f"{path}.{key}" if path else key).items()}
+    if isinstance(doc, list):
+        return {k: v for i, value in enumerate(doc)
+                for k, v in leaves(value, f"{path}[{i}]").items()}
+    return {path: doc}
 
 
 def sweep_source(path: pathlib.Path):
@@ -105,6 +139,25 @@ def test_every_check_kind_matches_golden(tmp_path):
 def test_overridden_run_matches_golden(tmp_path):
     report = run_scenario(load_scenario(EVERY_KIND), n_max=32, tol=0.5)
     assert_matches_golden(report, GOLDEN / "overrides", tmp_path)
+
+
+def test_rewritten_sweep_numbers_moved_toward_mpmath(monkeypatch):
+    # the report bounded_laplace derives from mpmath total-variation
+    # transforms is the reference: same statuses, and each number the
+    # rewrite moved is now closer to it
+    stress = ROOT / "benchmarks" / "scenarios" / "quadrature_stress.json"
+    golden = leaves(json.loads(
+        (GOLDEN / "sweep" / "quadrature-tier-bounded-laplace.json").read_text()))
+    monkeypatch.setattr(convergence, "abs_transform", lambda measure, lam: TransformValue(
+        float(mpmath_abs_transform(measure, lam)), 0.0))
+    exact = leaves(json.loads(run_scenario(load_scenario(stress)).to_json()))
+    assert golden.keys() == exact.keys()
+    for key, value in golden.items():
+        if key in QUADPACK_NUMBERS:
+            old = QUADPACK_NUMBERS[key]
+            assert value != old and abs(value - exact[key]) < abs(old - exact[key]), key
+        else:
+            assert value == exact[key], key
 
 
 if __name__ == "__main__":

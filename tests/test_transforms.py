@@ -39,6 +39,7 @@ from tauber import (
 from tauber._integrals import NonIntegrableTail, power_exp_integral
 from tests.conftest import (
     N_PROPERTY_CASES,
+    mpmath_abs_transform,
     random_measure,
     worked_oscillatory_measure,
 )
@@ -170,28 +171,29 @@ def test_abs_transform_periodic_tier_frozen_oracle():
         assert got.error_bound <= 1e-12 * want
 
 
-def test_abs_transform_periodic_tier_vs_quadrature_tier(rng):
-    # force the quadrature fallback by perturbing the measure so the tail
-    # is no longer a single (power, decay) group, then compare against the
-    # periodic route on the clean measure restricted to agreement windows
-    m = worked_oscillatory_measure()
-    lam = 0.7
-    exact = abs_transform(m, lam, allow_quadrature=False)
-    quad = abs_transform(m, lam, allow_quadrature=True)
-    assert quad.value == pytest.approx(exact.value, rel=1e-12)
-    # a measure the periodic tier cannot take: two incommensurable-decay
-    # oscillations on the tail
-    mixed = SignedMeasure.from_density(
-        (Term(1.0, 0.0, 0.5, "cos", 1.0), Term(0.5, 1.0, 1.0, "sin", 2.0)),
+def incommensurable_density(rng):
+    """2 or 3 oscillatory terms with one decay, powers 0 or 1 and random
+    frequencies: no tail certificate and no period, so `abs_transform`
+    takes the truncated sign-run tier."""
+    decay = float(rng.uniform(0.3, 1.5))
+    return tuple(
+        Term(float(rng.uniform(0.2, 2.0)) * float(rng.choice([-1.0, 1.0])),
+             float(rng.integers(0, 2)), decay, str(rng.choice(["cos", "sin"])),
+             float(rng.uniform(0.3, 3.0)))
+        for _ in range(int(rng.integers(2, 4)))
     )
-    out = abs_transform(mixed, 1.0)
-    assert math.isfinite(out.value)
-    assert out.error_bound <= 1e-8
-    # brute reference
-    f = mixed.segments[0].density
-    val, err = scipy.integrate.quad(
-        lambda x: abs(f.evaluate(x)) * math.exp(-x), 0.0, 60.0, limit=600)
-    assert out.value == pytest.approx(val, rel=1e-7, abs=1e-8)
+
+
+def test_abs_transform_truncated_tier_matches_mpmath(rng):
+    # the mixed decays of the first measure also defeat both exact tiers
+    cases = [((Term(1.0, 0.0, 0.5, "cos", 1.0), Term(0.5, 1.0, 1.0, "sin", 2.0)), 1.0)]
+    cases += [(incommensurable_density(rng), float(rng.uniform(0.3, 3.0))) for _ in range(12)]
+    for terms, lam in cases:
+        m = SignedMeasure.from_density(terms)
+        got = abs_transform(m, lam)
+        assert 0.0 < got.error_bound <= 0.5 * tauber.transforms.ABS_TOL, (terms, lam)
+        ref = float(mpmath_abs_transform(m, lam))
+        assert abs(got.value - ref) <= got.error_bound + 1e-14 * got.value, (terms, lam)
 
 
 def test_abs_transform_infinite_for_undamped_tail_at_zero():
