@@ -28,10 +28,9 @@ at the same lam many times, so both transforms are memoised with
 `abs_transform` each `TransformValue`, in the measure's memo, keyed by
 the arguments the computation uses.  Below it, a segment's memo keeps
 only what does not depend on lam (its sign runs and periodic tail, see
-`decomposition`), and tier 3's window runs keyed by T, which doubles
-from max(lo, 1) and so takes few values across a lam grid: a repeat at
-the same lam is answered by the measure first, so a per-segment value
-memo would never be read.  A memo lives as long as its owner does.
+`decomposition`): a repeat at the same lam is answered by the measure
+first, so a per-segment value memo would never be read.  A memo lives
+as long as its owner does.
 `DivergentTransform`, and the ValueError for a NaN lam, are raised
 afresh on every call: the lam checks run before the lookup.
 """
@@ -239,8 +238,7 @@ def _abs_segment(seg: DensitySegment, lam: float) -> tuple[float, float]:
     if pt is not None:
         return _periodic_abs_integral(pt, lam), 0.0
     hi, tail = _truncation_point(seg, lam)
-    runs = _memo(seg, ("window", hi), lambda: tuple(
-        sign_runs(DensitySegment(seg.lo, hi, seg.density)) if hi > seg.lo else ()))
+    runs = sign_runs(DensitySegment(seg.lo, hi, seg.density)) if hi > seg.lo else ()
     return _abs_runs(seg.density, runs, lam) + 0.5 * tail, 0.5 * tail
 
 

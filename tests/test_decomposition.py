@@ -471,13 +471,7 @@ def test_repeat_abs_transform_does_not_isolate_again(isolations, monkeypatch):
     assert len(isolations) == 3  # [0, 10], one period of WORKED, the window [0, T]
     assert [abs_transform(m, 0.5), abs_transform(truncated, 0.5)] == first
     abs_transform(m, 0.7)  # another lam: new values, but no new isolation
-    (seg,) = truncated.segments
-    assert transforms._truncation_point(seg, 0.4)[0] == transforms._truncation_point(seg, 0.5)[0]
-    abs_transform(truncated, 0.4)  # the same window: its runs are kept
     assert len(isolations) == 3
-    assert transforms._truncation_point(seg, 2.0)[0] < transforms._truncation_point(seg, 0.5)[0]
-    abs_transform(truncated, 2.0)  # a shorter window is isolated once
-    assert len(isolations) == 4
     assert quads == []  # no path of abs_transform integrates numerically
 
 

@@ -27,6 +27,7 @@ from tauber import (
     DivergentTransform,
     Expression,
     MeasureError,
+    SignChangeIsolationFailure,
     SignedMeasure,
     Term,
     abs_transform,
@@ -194,6 +195,25 @@ def test_abs_transform_truncated_tier_matches_mpmath(rng):
         assert 0.0 < got.error_bound <= 0.5 * tauber.transforms.ABS_TOL, (terms, lam)
         ref = float(mpmath_abs_transform(m, lam))
         assert abs(got.value - ref) <= got.error_bound + 1e-14 * got.value, (terms, lam)
+
+
+def test_abs_transform_raises_when_a_bounded_segment_is_too_long_to_isolate():
+    # 2000 units at frequency 1e4 need ~2.5e7 samples, above MAX_SAMPLES
+    seg = DensitySegment(0.0, 2000.0, Expression((Term(1.0, 0.0, 0.0, "cos", 1e4),)))
+    with pytest.raises(SignChangeIsolationFailure, match="too long"):
+        abs_transform(SignedMeasure(segments=(seg,)), 1.0)
+
+
+def test_abs_transform_raises_when_the_truncation_window_is_too_long_to_isolate():
+    # barely damped, incommensurable and fast: no certificate, no period,
+    # and the window [0, T] needs more than MAX_SAMPLES samples
+    m = SignedMeasure.from_density((
+        Term(1.0, 0.0, 0.01, "cos", 1e3), Term(1.0, 0.0, 0.01, "sin", 1e3 * math.sqrt(2.0)),
+    ))
+    (seg,) = m.segments
+    assert tauber.decomposition.periodic_tail_structure(seg) is None
+    with pytest.raises(SignChangeIsolationFailure, match="too long"):
+        abs_transform(m, 0.01)
 
 
 def test_abs_transform_infinite_for_undamped_tail_at_zero():
