@@ -79,7 +79,6 @@ from .transforms import (
     abs_transform,
     envelope_transform,
     laplace_transform,
-    quadrature_transform,
     tilt_identity_residual,
 )
 
@@ -96,8 +95,8 @@ __all__ = [
     "SignRun", "PeriodicTail", "eventual_sign", "sign_runs", "jordan",
     "total_variation", "certified_nonnegative", "periodic_tail_structure",
     # transforms
-    "TransformValue", "quadrature_transform", "laplace_transform",
-    "abs_transform", "envelope_transform", "tilt_identity_residual",
+    "TransformValue", "laplace_transform", "abs_transform",
+    "envelope_transform", "tilt_identity_residual",
     # convergence
     "MeasureSequence", "VerdictReport", "index_grid",
     "classify", "hat_integral", "vague_test", "laplace_convergence_test",

@@ -16,15 +16,13 @@ difference of incomplete gamma functions (DLMF 8.2) for a decaying weight
 and of Kummer functions (DLMF 13.2) for a growing one.  Both paths avoid
 subtractive cancellation: the integer path shifts the interval to
 [0, hi-lo] and switches to a power series when |z|*(hi-lo) is small; the
-non-integer path sums a positive series while s*hi <= p+1 (before the
-transition point) and a continued fraction once s*lo >= p+1 (past it),
-differences regularised lower gammas only across it, forms the gamma
-prefactor in log space, and sums a Taylor series about lo on narrow
-intervals.
-
-scipy.special is imported on first use by the non-integer path, and only
-there: integer powers, narrow intervals and intervals on one side of the
-transition point run on the standard library.
+non-integer path sums a positive series before the transition point
+s*x = p+1 and a continued fraction past it, splits a bounded interval
+that crosses that point in two there, takes a tail that starts before it
+as Gamma(p+1)/s^(p+1) less the part before lo, forms the gamma prefactor
+in log space, sums the positive Kummer series for a growing weight, and
+sums a Taylor series about lo on narrow intervals.  Everything runs on
+the standard library.
 """
 
 from __future__ import annotations
@@ -165,6 +163,19 @@ def _upper_gamma_fraction(a: float, z: float) -> float:
     return frac
 
 
+def _kummer_series(a: float, z: float) -> float:
+    """sum_k z^k / (k! (a+k)) for z >= 0, so that the integral of
+    t^(a-1) e^(c t) over [0, x] is x^a times it at z = c x (DLMF 13.2.2,
+    1F1(a; a+1; z) / a).  Every term is positive, so nothing cancels; the
+    terms fall once k > z."""
+    power, acc, k = 1.0, 1.0 / a, 0  # power = z^k / k!
+    while math.isfinite(acc) and (k <= z or power > 1e-17 * (a + k) * acc):
+        k += 1
+        power *= z / k
+        acc += power / (a + k)
+    return acc
+
+
 def _gamma_difference(p: float, s: float, lo: float, hi: float) -> float:
     """integral of x^p * exp(-s*x) dx over [lo, hi] when [lo, hi] lies on
     one side of the transition point s*x = p+1.
@@ -204,28 +215,20 @@ def _real_power_exp_value(p: float, s: float, lo: float, hi: float) -> float:
     if s == 0.0:
         return (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
     if s < 0.0:
-        # Kummer form (DLMF 13.2): integral over [0, x] of t^p e^{c t} dt
-        # equals x^{p+1}/(p+1) * 1F1(p+1; p+2; c x) for c = -s > 0.
-        from scipy.special import hyp1f1
-
-        def kummer(x: float) -> float:
-            return x ** (p + 1) / (p + 1) * float(hyp1f1(p + 1, p + 2, -s * x))
-
-        return kummer(hi) - kummer(lo)
-    # On one side of the transition point s*x = p+1 the regularised gammas
-    # underflow where Gamma(p+1)/s^(p+1) overflows, so go without them.
-    if s * hi <= p + 1 or s * lo >= p + 1:
-        return _gamma_difference(p, s, lo, hi)
-    from scipy.special import gammainc, gammaincc
-
-    # across it: Gamma(p+1)/s^(p+1) times a difference of regularised gammas
-    if math.isinf(hi):
-        share = float(gammaincc(p + 1, s * lo))
-    else:
-        share = float(gammainc(p + 1, s * hi) - gammainc(p + 1, s * lo))
-    if share <= 0.0:
-        return 0.0
-    return math.exp(math.lgamma(p + 1) - (p + 1) * math.log(s) + math.log(share))
+        return hi ** (p + 1) * _kummer_series(p + 1, -s * hi) - (
+            lo ** (p + 1) * _kummer_series(p + 1, -s * lo))
+    # the transition point, stepped down until s * x_star <= p+1
+    x_star = (p + 1) / s
+    while s * x_star > p + 1:
+        x_star = math.nextafter(x_star, 0.0)
+    if lo < x_star and math.isinf(hi):
+        # Gamma(p+1)/s^(p+1) less the integral over [0, lo], at most a
+        # share P(p+1, p+1) of it
+        head = _gamma_difference(p, s, 0.0, lo) if lo else 0.0
+        return math.exp(math.lgamma(p + 1) - (p + 1) * math.log(s)) - head
+    if lo < x_star < hi:
+        return _gamma_difference(p, s, lo, x_star) + _gamma_difference(p, s, x_star, hi)
+    return _gamma_difference(p, s, lo, hi)
 
 
 def _real_power_exp(p: float, s: float, lo: float, hi: float) -> float:

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .decomposition import certified_nonnegative, jordan
+from .errors import SignChangeIsolationFailure
 from .measures import SignedMeasure
 from .transforms import abs_transform, laplace_transform
 
@@ -377,19 +378,27 @@ def bounded_laplace_test(
     two surrogates per transform argument: the tail-window maximum (finite,
     optionally below an explicit cap) and the regression slope against
     log n (a growing sequence like log n shows a positive slope).  The
-    extrapolated tail value is reported for each argument.
+    extrapolated tail value is reported for each argument.  An argument
+    whose transforms fail sign isolation is inconclusive, with a note.
     """
     lambdas = tuple(float(v) for v in lambdas)
     grid(lambdas, "transform grid")  # checked only: rows keep the given order
     ns = index_grid(n_max, ratio)
     table = []
     verdicts = []  # one per lam: its status and, unless it passes, its witness
+    notes = []
     worst_growth = 0.0
     worst_tail = 0.0
     k0 = tail_start(len(ns))
     log_n = np.log([float(n) for n in ns[k0:]])
     for lam in lambdas:
-        vals = [abs_transform(seq.measure(n), lam).value for n in ns]
+        try:
+            vals = [abs_transform(seq.measure(n), lam).value for n in ns]
+        except SignChangeIsolationFailure as exc:
+            verdicts.append(VerdictReport("bounded_laplace", "inconclusive"))
+            table.append({"lam": lam, "status": "inconclusive"})
+            notes.append(f"lam={lam}: {exc}")
+            continue
         tail = vals[k0:]
         tail_max = max(tail)
         if not all(map(math.isfinite, tail)):
@@ -426,6 +435,7 @@ def bounded_laplace_test(
         statistics={"max_growth_rate": worst_growth, "max_tail_value": worst_tail},
         tolerances=tolerances,
         witnesses=tuple(w for v in verdicts for w in v.witnesses),
+        notes=tuple(notes),
         table=tuple(table),
     )
 

@@ -245,8 +245,10 @@ def sign_ratio_condition(
 
     The denominator is the exact total-variation transform when the Jordan
     decomposition is computable, else the envelope transform; either way
-    the bound statistic is a valid lower bound for the true ratio, so a
-    pass is sound.  The measured ratio against `abs_transform`'s value
+    the bound statistic is a lower bound for the true ratio, and a pass
+    is sound, as long as sign isolation found every root: a missed pair of
+    roots makes the total variation too small (ROADMAP item 1).  The
+    measured ratio against `abs_transform`'s value
     (exact, or the truncated sign-run value within its error bound) is
     reported per grid point whenever that transform is computable.
     """

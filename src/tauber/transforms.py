@@ -19,8 +19,8 @@ computed per segment through three tiers:
    bound, which is also the reported error bound.
 
 Tier 3 is the only inexact path and reports its error bound.  No tier
-uses scipy.integrate: only `quadrature_transform`, the independent
-cross-check, does, and `quad` imports it on first use.
+uses scipy; the tests check both transforms against exact mpmath
+references.
 
 The convergence checks and Karamata pipelines ask for the same measures
 at the same lam many times, so both transforms are memoised with
@@ -44,7 +44,7 @@ from typing import Iterable
 
 from .decomposition import PeriodicTail, SignRun, periodic_tail_structure, sign_runs
 from .errors import DivergentTransform, SignChangeIsolationFailure
-from .measures import DensitySegment, Expression, SignedMeasure, Term, _memo
+from .measures import DensitySegment, Expression, SignedMeasure, _memo
 
 __all__ = [
     "TransformValue",
@@ -52,11 +52,9 @@ __all__ = [
     "abs_transform",
     "envelope_transform",
     "tilt_identity_residual",
-    "quadrature_transform",
 ]
 
 ABS_TOL = 1e-10
-_QUAD_LIMIT = 500
 _TRUNCATION_CAP = 1e9
 
 
@@ -170,11 +168,13 @@ def _periodic_abs_integral(pt: PeriodicTail, lam: float) -> float:
     return total
 
 
-# -- truncation and quadrature ------------------------------------------
+# -- truncation -----------------------------------------------------------
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first `quadrature_transform` call."""
+    """scipy.integrate.quad, imported on call.  Nothing in the package
+    calls it: it stays only because `benchmarks/tracing.py` rebinds it to
+    count `transforms.quad_calls` (ROADMAP item 4 removes both)."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
@@ -197,29 +197,6 @@ def _truncation_point(seg: DensitySegment, lam: float) -> tuple[float, float]:
         f"cannot certify a truncation point below {_TRUNCATION_CAP} for "
         f"segment at [{seg.lo}, {seg.hi})"
     )
-
-
-def _quad_signed_segment(seg: DensitySegment, lam: float) -> tuple[float, float]:
-    """Term-wise quadrature of density * exp(-lam x), for `quadrature_transform`."""
-    hi, tail_err = _truncation_point(seg, lam)
-    total, err = 0.0, 0.0
-    for t in seg.density.terms:
-        sigma = t.decay + lam
-
-        def base(x: float, _t: Term = t, _s: float = sigma) -> float:
-            return _t.coefficient * x ** _t.power * math.exp(-_s * x)
-
-        if t.kind == "":
-            v, e = quad(base, seg.lo, hi, epsabs=ABS_TOL / 4, limit=_QUAD_LIMIT)
-        else:
-            v, e = quad(
-                base, seg.lo, hi,
-                weight=t.kind, wvar=t.freq,
-                epsabs=ABS_TOL / 4, limit=_QUAD_LIMIT,
-            )
-        total += v
-        err += e
-    return total, err + tail_err
 
 
 # -- total-variation transform -----------------------------------------
@@ -280,24 +257,3 @@ def tilt_identity_residual(measure: SignedMeasure, eps: float, lam: float) -> fl
         laplace_transform(measure, lam + eps)
         - laplace_transform(measure.tilted(eps), lam)
     )
-
-
-# -- quadrature cross-check ----------------------------------------------
-
-
-def quadrature_transform(measure: SignedMeasure, lam: float) -> TransformValue:
-    """Signed transform at lam by term-wise quadrature, with its error bound.
-
-    An independent cross-check of `laplace_transform`'s closed forms;
-    unbounded segments are truncated where the envelope tail is below
-    ABS_TOL/2, and that tail is part of the bound.
-    """
-    lam = _lam(lam)
-    _check_convergent(measure, lam)
-    value = math.fsum(a.weight * math.exp(-lam * a.location) for a in measure.atoms)
-    err = 0.0
-    for seg in measure.segments:
-        v, e = _quad_signed_segment(seg, lam)
-        value += v
-        err += e
-    return TransformValue(value, err)

@@ -113,6 +113,51 @@ def random_measure(rng, *, signed=True, with_tail=True, certifiable=False):
     return m
 
 
+def mpmath_term_integral(t, lam, u, v):
+    """The integral of t's density times e^(-lam x) over [u, v] from its
+    closed-form primitive, in mpmath at the working precision; integer
+    powers only, and v may be inf where t is damped."""
+    import mpmath as mp
+
+    k = int(t.power)
+    z = mp.mpc(-(t.decay + lam), t.freq if t.kind else 0.0)
+
+    def primitive(x):
+        # integral of t.coefficient x^k e^(zx)
+        if math.isinf(x):
+            return mp.mpc(0)
+        x = mp.mpf(x)
+        if z == 0:
+            return mp.mpc(t.coefficient * x ** (k + 1) / (k + 1))
+        series = mp.fsum((-1) ** j * mp.factorial(k) / mp.factorial(k - j)
+                         * x ** (k - j) / z ** (j + 1) for j in range(k + 1))
+        return t.coefficient * mp.exp(z * x) * series
+
+    w = primitive(v) - primitive(u)
+    return w.imag if t.kind == "sin" else w.real
+
+
+def mpmath_laplace_transform(measure, lam, digits=30):
+    """The signed transform at lam from exact mpmath formulas, as an oracle
+    for `laplace_transform`.  Integer powers use `mpmath_term_integral`,
+    as `mpmath_abs_transform` does; other powers (plain terms only) use the
+    side-aware incomplete-gamma form of `test_kernel_oracle.exact`."""
+    import mpmath as mp
+
+    from tests.test_kernel_oracle import exact
+
+    with mp.workdps(digits + 5):
+        exact_lam = mp.mpf(lam)
+        total = mp.fsum(a.weight * mp.exp(-exact_lam * a.location) for a in measure.atoms)
+        for seg in measure.segments:
+            for t in seg.density.terms:
+                if float(t.power).is_integer() and t.power >= 0:
+                    total += mpmath_term_integral(t, exact_lam, seg.lo, seg.hi)
+                else:
+                    total += t.coefficient * exact(t.power, t.decay + lam, seg.lo, seg.hi)
+        return total
+
+
 def mpmath_abs_transform(measure, lam, step=1e-3, digits=30):
     """|mu|'s transform at lam from exact mpmath antiderivatives, as an
     oracle for `abs_transform`; integer powers only.
@@ -131,20 +176,8 @@ def mpmath_abs_transform(measure, lam, step=1e-3, digits=30):
     with mp.workdps(digits + 5):
         lam = mp.mpf(lam)
 
-        def primitive(t, x):
-            # integral of t.coefficient x^k e^(zx) with z = -(decay + lam) + i freq
-            k = int(t.power)
-            z = mp.mpc(-(t.decay + lam), t.freq if t.kind else 0.0)
-            x = mp.mpf(x)
-            if z == 0:
-                return mp.mpc(t.coefficient * x ** (k + 1) / (k + 1))
-            series = mp.fsum((-1) ** j * mp.factorial(k) / mp.factorial(k - j)
-                             * x ** (k - j) / z ** (j + 1) for j in range(k + 1))
-            return t.coefficient * mp.exp(z * x) * series
-
         def run_integral(terms, u, v):
-            parts = [primitive(t, v) - primitive(t, u) for t in terms]
-            return mp.fsum(w.imag if t.kind == "sin" else w.real for t, w in zip(terms, parts))
+            return mp.fsum(mpmath_term_integral(t, lam, u, v) for t in terms)
 
         def density(terms, x):
             out = np.zeros_like(x)

@@ -238,6 +238,24 @@ def test_bounded_laplace_cap():
     assert rep2.status == "pass"
 
 
+def test_bounded_laplace_isolation_failure_is_inconclusive():
+    # e^(-x/100) (cos 1000x + sin 1000 sqrt2 x) has no tail certificate and
+    # no period; at lam = 0.01 its window [0, 2048] needs 3.7e6 samples
+    m = SignedMeasure.from_density((
+        Term(1.0, 0.0, 0.01, "cos", 1000.0),
+        Term(1.0, 0.0, 0.01, "sin", 1000.0 * math.sqrt(2.0)),
+    ))
+    rep = bounded_laplace_test(constant_seq(m), (1.0, 0.01))
+    assert rep.status == "inconclusive"
+    judged, failed = rep.table
+    assert judged["lam"] == 1.0 and math.isfinite(judged["tail_max"])
+    assert failed == {"lam": 0.01, "status": "inconclusive"}
+    assert rep.witnesses == ()  # lam = 1.0 passed: it names no witness
+    (note,) = rep.notes
+    assert note.startswith("lam=0.01: sign isolation on [0.0, 2048.0] needs")
+    assert bounded_laplace_test(constant_seq(m), (1.0,)).status == "pass"
+
+
 def test_right_equicontinuity_dipole_fails_with_reciprocal_witness():
     rep = right_equicontinuity_test(dipole_seq(0.5), 0.5)
     assert rep.status == "fail"

@@ -92,11 +92,26 @@ def test_float_overflow_is_a_divergent_transform():
     # Gamma(p+1)/s^(p+1) itself overflows a float
     (180.5, 1.0, 0.0, math.inf, None),
     (0.5, 1e-300, 0.0, math.inf, None),
+    # s * ((p+1)/s) rounds above p+1, so the split point is stepped down
+    (2.5, 0.3, 0.0, 20.0, None),
+    # (p+1)/s overflows a float, so no float is past the transition point
+    (-0.95, 5e-324, 0.0, math.inf, None),
+    (-0.5, 5e-324, 1e300, math.inf, None),
 ])
 def test_extreme_power_or_decay_is_exact_or_divergent(p, s, lo, hi, want):
     if want is not None:
         assert power_exp_integral(p, s, 0.0, lo, hi).real == pytest.approx(want, rel=1e-15)
     assert_matches_oracle(p, s, lo, hi)
+
+
+@pytest.mark.parametrize("p,s", [(-0.863, 1.93), (-0.5, 1.0), (2.7, 0.4)])
+def test_tail_from_zero_is_gamma_over_power(p, s):
+    # Gamma(p+1)/s^(p+1), the transform of `gamma_limit_measure`; a split
+    # at the transition point would cost 6e-15 at the smallest p+1 here, in
+    # the continued fraction at z = p+1
+    want = exact(p, s, 0.0, math.inf)
+    got = power_exp_integral(p, s, 0.0, 0.0, math.inf).real
+    assert abs((got - want) / want) <= 2e-15
 
 
 @pytest.mark.parametrize("nudge", [1 - 1e-12, 1.0, 1 + 1e-12])
@@ -111,6 +126,10 @@ def test_extreme_power_or_decay_is_exact_or_divergent(p, s, lo, hi, want):
     # s * lo at the transition point p + 1
     ("lo", 1.5, 0.5, 5.0, 9.0),
     ("lo", 0.25, 2.0, 0.625, 3.0),
+    # hi at the transition point (p+1)/s, where the interval is split
+    ("hi", 1.5, 0.5, 2.0, 5.0),
+    ("hi", 0.25, 2.0, 0.1, 0.625),
+    ("hi", 180.5, 1.0, 0.0, 181.5),
 ])
 def test_branch_boundaries(knob, p, s, lo, hi, nudge):
     args = {"p": p, "s": s, "lo": lo, "hi": hi}

@@ -21,7 +21,6 @@ from tauber import (
     abs_transform,
     envelope_transform,
     laplace_transform,
-    quadrature_transform,
 )
 
 INF = math.inf
@@ -393,8 +392,7 @@ def test_errors_are_raised_on_every_call_and_never_stored():
     assert laplace_transform(flat, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("transform", [
-    laplace_transform, abs_transform, envelope_transform, quadrature_transform])
+@pytest.mark.parametrize("transform", [laplace_transform, abs_transform, envelope_transform])
 def test_nan_lam_is_refused_on_every_call_before_the_memo(transform):
     # a NaN key is unequal to itself: a stored one would be a new entry per call
     m = memo_measure()
