@@ -546,7 +546,9 @@ def part_domination_test(
 
     Cross-checked against the uniform-boundedness test (a dominated
     sequence with bounded dominant part must be bounded); disagreement
-    downgrades the verdict to inconclusive.
+    downgrades the verdict to inconclusive.  A tail index whose Jordan
+    parts fail sign isolation adds a note, not a row; it could raise the
+    ratio, so a pass becomes inconclusive, and no row at all gives a NaN.
     """
     lambdas = tuple(float(v) for v in lambdas)
     bounded = bounded_laplace_test(seq, lambdas, n_max=n_max, ratio=ratio, band=band)
@@ -555,8 +557,13 @@ def part_domination_test(
     worst_minus = 0.0   # neg dominated by pos
     worst_plus = 0.0    # pos dominated by neg
     rows = []
+    skipped = []
     for n in tail_ns:
-        pos, neg = jordan(seq.measure(n))
+        try:
+            pos, neg = jordan(seq.measure(n))
+        except SignChangeIsolationFailure as exc:
+            skipped.append(f"n={n}: {exc}")
+            continue
         for lam in lambdas:
             p = laplace_transform(pos, lam)
             q = laplace_transform(neg, lam)
@@ -565,22 +572,27 @@ def part_domination_test(
             worst_minus = max(worst_minus, r_minus)
             worst_plus = max(worst_plus, r_plus)
             rows.append({"n": n, "lam": lam, "neg_over_pos": r_minus, "pos_over_neg": r_plus})
-    stat = min(worst_minus, worst_plus)
-    orientation = "negative-part dominated" if worst_minus <= worst_plus else "positive-part dominated"
+    stat = min(worst_minus, worst_plus) if rows else math.nan
     status = classify(stat, delta, band)
-    notes = (f"orientation: {orientation}",)
+    notes, witnesses = (), ()
+    if rows:
+        orientation = "negative" if worst_minus <= worst_plus else "positive"
+        notes = (f"orientation: {orientation}-part dominated",)
+        witnesses = (max(rows, key=lambda r: min(r["neg_over_pos"], r["pos_over_neg"])),)
     if status == "pass" and bounded.status == "fail":
         status = "inconclusive"
         notes = notes + (
             "domination ratio passed but uniform boundedness failed; verdicts disagree",
         )
+    if status == "pass" and skipped:
+        status = "inconclusive"
     return VerdictReport(
         check="part_domination",
         status=status,
         statistics={"max_dominated_ratio": stat},
         tolerances={"delta": delta, "band": band},
-        witnesses=(max(rows, key=lambda r: min(r["neg_over_pos"], r["pos_over_neg"])),),
-        notes=notes,
+        witnesses=witnesses,
+        notes=notes + tuple(skipped),
         table=tuple(rows),
         children=(bounded,),
     )

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .decomposition import PeriodicTail, SignRun, periodic_tail_structure, sign_runs
@@ -120,7 +119,6 @@ def envelope_transform(measure: SignedMeasure, lam: float) -> float:
 # -- exact polynomial-geometric series --------------------------------
 
 
-@lru_cache(maxsize=64)
 def _eulerian_row(j: int) -> tuple[float, ...]:
     """Eulerian numbers A(j, m) for m = 0..j-1 (row of the triangle)."""
     row = [1.0]
@@ -181,11 +179,8 @@ def quad(*args, **kwargs):
 
 
 def _truncation_point(seg: DensitySegment, lam: float) -> tuple[float, float]:
-    """(T, tail): where a segment's integration window ends and a bound on
-    the rest; (hi, 0) when bounded, else the first T whose envelope tail
-    integral over [T, inf) is at most ABS_TOL/2."""
-    if not seg.unbounded:
-        return seg.hi, 0.0
+    """(T, tail) for an unbounded segment: the first T whose envelope tail
+    integral over [T, inf) is at most ABS_TOL/2, and that integral."""
     env = seg.density.envelope()
     t = max(seg.lo, 1.0)
     while t < _TRUNCATION_CAP:

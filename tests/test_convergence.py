@@ -333,6 +333,38 @@ def test_part_domination_near_cancellation_fails():
     assert rep.witnesses
 
 
+def incommensurable_tail():
+    # e^(-x/100) (cos 1000x + sin 1000 sqrt2 x): no tail certificate and no
+    # period, so `jordan` cannot split it; its lam = 1.0 transform still is exact
+    return SignedMeasure.from_density((
+        Term(1.0, 0.0, 0.01, "cos", 1000.0),
+        Term(1.0, 0.0, 0.01, "sin", 1000.0 * math.sqrt(2.0)),
+    ))
+
+
+def test_part_domination_without_isolable_parts_is_inconclusive():
+    rep = part_domination_test(constant_seq(incommensurable_tail()), (1.0,), n_max=4)
+    assert rep.status == "inconclusive"
+    assert math.isnan(rep.statistics["max_dominated_ratio"])
+    assert rep.table == () and rep.witnesses == ()
+    (note,) = rep.notes
+    assert note.startswith("n=4: no eventual-sign certificate for density on [0.0, inf)")
+    assert rep.child("bounded_laplace").status == "pass"
+
+
+@pytest.mark.parametrize("other, status", [
+    (SignedMeasure.point_mass(1.0), "inconclusive"),  # the skipped index could fail
+    (SignedMeasure.point_mass(1.0) - SignedMeasure.point_mass(1.001), "fail"),
+], ids=["pass-becomes-inconclusive", "fail-stands"])
+def test_part_domination_skips_an_index_whose_parts_fail_isolation(other, status):
+    bad = incommensurable_tail()
+    seq = MeasureSequence(lambda n: bad if n == 16 else other, limit=other)
+    rep = part_domination_test(seq, (1.0,), delta=0.5, n_max=16)  # tail indices 8, 16
+    assert rep.status == status
+    assert [row["n"] for row in rep.table] == [8]
+    assert rep.notes[-1].startswith("n=16: no eventual-sign certificate")
+
+
 def test_part_domination_implies_bounded(rng):
     # implication consistency on random dominated families
     for _ in range(10):

@@ -571,16 +571,27 @@ def test_window_increment_points_sweep_sorts_and_keeps_the_worst_witness():
 
 
 def test_readme_lists_every_check_kind_and_parameter():
-    from tauber.scenarios import _CHECKS, _GRID_PARAMS
+    # a kind's parameters are its function's signature, so a parameter added
+    # to a library check function is a scenario parameter at once: each
+    # README row must name exactly that kind's parameters, no more, no fewer
+    import re
+
+    from tauber.scenarios import _REQUIRED, _kind
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = {line.split("|")[1].strip().strip("`"): line
-            for line in readme.splitlines() if line.startswith("| `")}
+    rows = {cells[1].strip().strip("`"): cells[2:-1]
+            for cells in (line.split("|") for line in readme.splitlines()
+                          if line.startswith("| `"))}
+    assert sorted(rows) == list(CHECK_NAMES)
     for kind in CHECK_NAMES:
-        assert kind in rows, f"README has no row for {kind}"
-        entry = _CHECKS[kind]
-        names = list(entry.params) + (list(_GRID_PARAMS) if entry.grid else [])
-        for name in names:
-            assert f"`{name}`" in rows[kind], f"README row for {kind} omits {name}"
-        if entry.tol_key is not None:
-            assert rows[kind].rstrip(" |").endswith(f"`{entry.tol_key}`"), kind
+        target, required, optional, tol = (cell.strip() for cell in rows[kind])
+        target_kind, params = _kind(kind)
+        required = set(re.findall(r"`(\w+)`", required))
+        # the backticked names before each " = "
+        optional = {name for part in optional.split("; ")
+                    for name in re.findall(r"`(\w+)`", part.split(" = ")[0])}
+        assert target == target_kind, kind
+        assert required == {n for n, (_, d) in params.items() if d is _REQUIRED}, kind
+        assert not required & optional, kind
+        assert required | optional == set(params), kind
+        assert tol == ("`tol`" if "tol" in params else "—"), kind
