@@ -6,23 +6,28 @@ integral over an interval reduces to
 
     integral of x^p * exp(-z*x),   z = (a + s) - i*b,
 
-taken as the real (cos) or imaginary (sin) part.  For integer p this has
-the elementary antiderivative
+taken as the real (cos) or imaginary (sin) part.  `power_exp_integral` is
+the one front door: it refuses an empty interval and an oscillatory
+non-integer power (ValueError), raises NonIntegrableTail for an infinite
+interval with Re z <= 0, dispatches to a family, and turns an overflow or a
+non-finite value of either family into DivergentTransform.
+
+For integer p the family uses the elementary antiderivative
 
     A(x) = -exp(-z*x) * sum_{j=0..p} p!/(p-j)! * x^(p-j) / z^(j+1),
 
-and for non-integer p (only allowed without oscillation) it is a
-difference of incomplete gamma functions (DLMF 8.2) for a decaying weight
-and of Kummer functions (DLMF 13.2) for a growing one.  Both paths avoid
-subtractive cancellation: the integer path shifts the interval to
-[0, hi-lo] and switches to a power series when |z|*(hi-lo) is small; the
-non-integer path sums a positive series before the transition point
-s*x = p+1 and a continued fraction past it, splits a bounded interval
-that crosses that point in two there, takes a tail that starts before it
-as Gamma(p+1)/s^(p+1) less the part before lo, forms the gamma prefactor
-in log space, sums the positive Kummer series for a growing weight, and
-sums a Taylor series about lo on narrow intervals.  Everything runs on
-the standard library.
+and for non-integer p (only allowed without oscillation) a difference of
+incomplete gamma functions (DLMF 8.2) for a decaying weight and of Kummer
+functions (DLMF 13.2) for a growing one.  Both avoid subtractive
+cancellation: the integer family shifts the interval to [0, hi-lo] and
+switches to a power series when |z|*(hi-lo) is small; the non-integer
+family sums a positive series before the transition point s*x = p+1 and a
+continued fraction past it, splits a bounded interval that crosses that
+point in two there, takes a tail that starts before it as
+Gamma(p+1)/s^(p+1) less the part before lo, forms the gamma prefactor in
+log space, sums the positive Kummer series for a growing weight, and sums
+a Taylor series about lo on narrow intervals.  Everything runs on the
+standard library.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ _NARROW = 0.25
 
 
 def _int_monomial_exp_from_zero(j: int, z: complex, delta: float) -> complex:
-    """integral of u^j * exp(-z*u) du over [0, delta], j a small integer."""
+    """integral of u^j * exp(-z*u) du over [0, delta], j a small integer;
+    delta may be inf when z.real > 0."""
     if delta == 0.0:
         return 0.0
     if abs(z) * delta <= _SERIES_CUTOFF:
@@ -58,6 +64,8 @@ def _int_monomial_exp_from_zero(j: int, z: complex, delta: float) -> complex:
     # j!/z^(j+1) - exp(-z*delta) * sum_m j!/(j-m)! * delta^(j-m) / z^(m+1)
     fact = math.factorial(j)
     head = fact / z ** (j + 1)
+    if math.isinf(delta):
+        return head
     tail = 0.0 + 0.0j
     falling = 1.0  # j!/(j-m)!
     for m in range(j + 1):
@@ -67,28 +75,18 @@ def _int_monomial_exp_from_zero(j: int, z: complex, delta: float) -> complex:
 
 
 def _integer_power_exp(p: int, z: complex, lo: float, hi: float) -> complex:
-    """integral of x^p * exp(-z*x) dx over [lo, hi], p >= 0 integer."""
+    """integral of x^p * exp(-z*x) dx over [lo, hi], p >= 0 integer;
+    z.real > 0 if hi is infinite."""
     if z == 0:
-        if math.isinf(hi):
-            raise NonIntegrableTail("polynomial tail does not converge")
         return (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
     weight = cmath.exp(-z * lo) if lo else 1.0 + 0.0j
     if weight == 0.0:
         return 0.0
-    if math.isinf(hi):
-        if z.real <= 0:
-            raise NonIntegrableTail("non-decaying tail does not converge")
-        # integral of u^j * exp(-z*u) du over [0, inf) is j!/z^(j+1)
-        inner = sum(
-            math.comb(p, j) * lo ** (p - j) * (math.factorial(j) / z ** (j + 1))
-            for j in range(p + 1)
-        )
-    else:
-        delta = hi - lo
-        inner = sum(
-            math.comb(p, j) * lo ** (p - j) * _int_monomial_exp_from_zero(j, z, delta)
-            for j in range(p + 1)
-        )
+    delta = hi - lo
+    inner = sum(
+        math.comb(p, j) * lo ** (p - j) * _int_monomial_exp_from_zero(j, z, delta)
+        for j in range(p + 1)
+    )
     return weight * inner
 
 
@@ -207,7 +205,7 @@ def _gamma_difference(p: float, s: float, lo: float, hi: float) -> float:
     return math.exp(a * math.log(near) - s * near + math.log(rest))
 
 
-def _real_power_exp_value(p: float, s: float, lo: float, hi: float) -> float:
+def _real_power_exp(p: float, s: float, lo: float, hi: float) -> float:
     """integral of x^p * exp(-s*x) dx over [lo, hi]; s > 0 if hi is infinite."""
     width = hi - lo
     if width <= _NARROW * lo and abs(s) * width <= _SERIES_CUTOFF:
@@ -231,21 +229,6 @@ def _real_power_exp_value(p: float, s: float, lo: float, hi: float) -> float:
     return _gamma_difference(p, s, lo, hi)
 
 
-def _real_power_exp(p: float, s: float, lo: float, hi: float) -> float:
-    """integral of x^p * exp(-s*x) dx over [lo, hi], real p > -1, s real."""
-    if math.isinf(hi) and s <= 0.0:
-        raise NonIntegrableTail("tail without decay does not converge")
-    try:
-        value = _real_power_exp_value(p, s, lo, hi)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DivergentTransform(
-            f"integral of x^{p} exp({-s} x) over [{lo}, {hi}] overflows a float"
-        )
-    return value
-
-
 def power_exp_integral(
     p: float, sigma: float, freq: float, lo: float, hi: float
 ) -> complex:
@@ -253,16 +236,28 @@ def power_exp_integral(
 
     The caller takes .real for a cosine factor and .imag for a sine factor.
     Non-integer powers are only supported with freq == 0.  Raises
-    NonIntegrableTail when hi is infinite and the integral diverges, and
+    NonIntegrableTail when hi is infinite and sigma <= 0, and
     DivergentTransform when a finite integral overflows a float.
     """
     if hi < lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
     if hi == lo:
         return 0.0
-    if float(p).is_integer() and p >= 0:
-        z = complex(sigma, -freq)
-        return _integer_power_exp(int(p), z, lo, hi)
-    if freq != 0.0:
+    integer = float(p).is_integer() and p >= 0
+    if not integer and freq != 0.0:
         raise ValueError("oscillatory terms require integer powers")
-    return complex(_real_power_exp(p, sigma, lo, hi))
+    if math.isinf(hi) and sigma <= 0.0:
+        raise NonIntegrableTail(
+            f"integral of x^{p} exp({-sigma} x) over [{lo}, inf) does not converge")
+    try:
+        if integer:
+            value = _integer_power_exp(int(p), complex(sigma, -freq), lo, hi)
+        else:
+            value = complex(_real_power_exp(p, sigma, lo, hi))
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise DivergentTransform(
+            f"integral of x^{p} exp({-sigma} x) exp({freq}i x) over [{lo}, {hi}] "
+            "overflows a float")
+    return value

@@ -142,9 +142,7 @@ def _power_geom_sum(j: int, q: float, one_minus_q: float) -> float:
 
 def _periodic_abs_integral(pt: PeriodicTail, lam: float) -> float:
     """integral over [lo, inf) of x^K exp(-(A+lam) x) |g(x)| dx, exact."""
-    sigma = pt.decay + lam
-    if sigma <= 0.0:
-        return math.inf
+    sigma = pt.decay + lam  # > 0: _abs_segment has returned inf otherwise
     # One-period moments I_j = integral y^{K-j} e^{-sigma y} |g(y)| dy
     # over [lo, lo+P), split along the sign runs of g.
     moments = []

@@ -23,7 +23,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tauber import DivergentTransform, SignedMeasure, Term, laplace_transform
+from tauber import (DivergentTransform, NonIntegrableTail, SignedMeasure, Term,
+                    laplace_transform)
 from tauber._integrals import _NARROW, _SERIES_CUTOFF, power_exp_integral
 
 mp = pytest.importorskip("mpmath")
@@ -80,6 +81,36 @@ def test_float_overflow_is_a_divergent_transform():
     with pytest.raises(DivergentTransform):
         laplace_transform(m, -0.5)
     assert_matches_oracle(0.5, -0.5, 100.0, 3000.0)
+
+
+@pytest.mark.parametrize("term", [
+    pytest.param(Term(1.0, 1.0, 0.0), id="x"),
+    pytest.param(Term(1.0, 0.0, 0.0, "cos", 2.0), id="cos-2x"),
+])
+def test_integer_power_overflow_is_a_divergent_transform(term):
+    # e^800 overflows a float inside the integer family too, which raised a
+    # bare OverflowError before the kernel's one overflow guard
+    m = SignedMeasure.from_density((term,), lo=0.0, hi=800.0)
+    with pytest.raises(DivergentTransform):
+        laplace_transform(m, -1.0)
+
+
+def test_integer_power_mass_overflow_is_a_divergent_transform():
+    m = SignedMeasure.from_density((Term(1.0, 6.0, 0.0),), lo=0.0, hi=1e60)
+    with pytest.raises(DivergentTransform):
+        m.distribution(1e60)
+
+
+@pytest.mark.parametrize("p,sigma,freq", [
+    pytest.param(1.0, 0.0, 0.0, id="integer"),
+    pytest.param(2.0, -1.0, 0.0, id="integer-growing"),
+    pytest.param(0.0, 0.0, 3.0, id="oscillatory"),
+    pytest.param(0.5, 0.0, 0.0, id="real-power"),
+])
+def test_divergent_tail_is_one_non_integrable_tail(p, sigma, freq):
+    with pytest.raises(NonIntegrableTail, match=(
+            rf"^integral of x\^{p} exp\({-sigma} x\) over \[1\.0, inf\) does not converge$")):
+        power_exp_integral(p, sigma, freq, 1.0, math.inf)
 
 
 @pytest.mark.parametrize("p,s,lo,hi,want", [
