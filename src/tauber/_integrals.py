@@ -7,27 +7,22 @@ integral over an interval reduces to
     integral of x^p * exp(-z*x),   z = (a + s) - i*b,
 
 taken as the real (cos) or imaginary (sin) part.  `power_exp_integral` is
-the one front door: it refuses an empty interval and an oscillatory
-non-integer power (ValueError), raises NonIntegrableTail for an infinite
-interval with Re z <= 0, dispatches to a family, and turns an overflow or a
-non-finite value of either family into DivergentTransform.
+the one front door for both power families: it checks the interval, the
+power and the tail, and turns an overflow of either into DivergentTransform.
 
-For integer p the family uses the elementary antiderivative
-
-    A(x) = -exp(-z*x) * sum_{j=0..p} p!/(p-j)! * x^(p-j) / z^(j+1),
-
-and for non-integer p (only allowed without oscillation) a difference of
-incomplete gamma functions (DLMF 8.2) for a decaying weight and of Kummer
-functions (DLMF 13.2) for a growing one.  Both avoid subtractive
-cancellation: the integer family shifts the interval to [0, hi-lo] and
-switches to a power series when |z|*(hi-lo) is small; the non-integer
-family sums a positive series before the transition point s*x = p+1 and a
-continued fraction past it, splits a bounded interval that crosses that
-point in two there, takes a tail that starts before it as
-Gamma(p+1)/s^(p+1) less the part before lo, forms the gamma prefactor in
-log space, sums the positive Kummer series for a growing weight, and sums
-a Taylor series about lo on narrow intervals.  Everything runs on the
-standard library.
+For integer p the family shifts [lo, hi] to [0, delta], delta = hi - lo,
+and expands x^p binomially.  The integral of u^j exp(-z*u) over [0, delta]
+is a power series when |z|*delta <= 1/2, the positive series of
+gamma(j+1, z*delta) (DLMF 8.7.1) when |z|*delta <= j/2, and j!/z^(j+1) less
+the antiderivative at delta past that, where the two no longer cancel.  At
+z = 0 the difference hi^(p+1) - lo^(p+1) becomes (hi - lo) times a Horner
+sum once lo > hi/2.  For non-integer p (only allowed without oscillation)
+the family takes differences of incomplete gamma functions (DLMF 8.2) for
+a decaying weight and of Kummer functions (DLMF 13.2) for a growing one:
+positive series before the transition point s*x = p+1, a continued
+fraction past it, prefactors in log space, and a Taylor series about lo on
+narrow intervals, so nothing cancels.  Everything runs on the standard
+library.
 """
 
 from __future__ import annotations
@@ -46,10 +41,8 @@ _NARROW = 0.25
 
 
 def _int_monomial_exp_from_zero(j: int, z: complex, delta: float) -> complex:
-    """integral of u^j * exp(-z*u) du over [0, delta], j a small integer;
-    delta may be inf when z.real > 0."""
-    if delta == 0.0:
-        return 0.0
+    """integral of u^j * exp(-z*u) du over [0, delta], j a small integer,
+    delta > 0; delta may be inf when z.real > 0."""
     if abs(z) * delta <= _SERIES_CUTOFF:
         # sum_m (-z)^m / m! * delta^(j+m+1) / (j+m+1)
         acc = 0.0 + 0.0j
@@ -61,9 +54,12 @@ def _int_monomial_exp_from_zero(j: int, z: complex, delta: float) -> complex:
                 break
             coef *= -z / (m + 1)
         return acc
+    if abs(z) * delta <= 0.5 * j:
+        # well before |z|*delta = j+1 the difference below cancels; the
+        # positive series of gamma(j+1, z*delta) (DLMF 8.7.1) does not
+        return cmath.exp(-z * delta) * delta ** (j + 1) * _lower_gamma_series(j + 1, z * delta)
     # j!/z^(j+1) - exp(-z*delta) * sum_m j!/(j-m)! * delta^(j-m) / z^(m+1)
-    fact = math.factorial(j)
-    head = fact / z ** (j + 1)
+    head = math.factorial(j) / z ** (j + 1)
     if math.isinf(delta):
         return head
     tail = 0.0 + 0.0j
@@ -78,7 +74,13 @@ def _integer_power_exp(p: int, z: complex, lo: float, hi: float) -> complex:
     """integral of x^p * exp(-z*x) dx over [lo, hi], p >= 0 integer;
     z.real > 0 if hi is infinite."""
     if z == 0:
-        return (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+        if 2 * lo <= hi:
+            return (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+        # hi^(p+1) - lo^(p+1) cancels: (hi - lo) * sum_k hi^(p-k) lo^k
+        acc = 0.0
+        for k in range(p + 1):
+            acc = acc * hi + lo ** k
+        return (hi - lo) * acc / (p + 1)
     weight = cmath.exp(-z * lo) if lo else 1.0 + 0.0j
     if weight == 0.0:
         return 0.0
@@ -118,15 +120,16 @@ def _narrow_power_exp(p: float, s: float, lo: float, hi: float) -> float:
 
 def _lower_gamma_series(a: float, z: float) -> float:
     """gamma(a, z) * e^z / z^a, the lower incomplete gamma without its
-    prefactor, for 0 <= z <= a.
+    prefactor, for 0 <= z <= a or complex |z| <= a/2.
 
     DLMF 8.7.1 (Kummer's transformation of 8.5.1): the sum of
-    z^k / (a (a+1) ... (a+k)).  Every term is positive and the ratio of
-    successive terms is below 1, so nothing cancels.
+    z^k / (a (a+1) ... (a+k)).  For 0 <= z <= a every term is positive and
+    the ratio of successive terms is below 1, so nothing cancels; for
+    |z| <= a/2 each term is at most half the one before.
     """
     acc = term = 1.0 / a
     k = 1
-    while term > 1e-17 * acc:
+    while abs(term) > 1e-17 * abs(acc):
         term *= z / (a + k)
         acc += term
         k += 1
@@ -254,7 +257,7 @@ def power_exp_integral(
             value = _integer_power_exp(int(p), complex(sigma, -freq), lo, hi)
         else:
             value = complex(_real_power_exp(p, sigma, lo, hi))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # z^(j+1) underflows where j!/z^(j+1) overflows
         value = math.inf
     if not cmath.isfinite(value):
         raise DivergentTransform(

@@ -13,15 +13,10 @@ widen the contract:
   `--n-max`/`--tol` overrides.
 
 A change that is meant to keep every verdict and number must keep these
-bytes; a change that is meant to alter a report rewrites the golden file
-with it, for the bundled ones:
+bytes; a change that is meant to alter a report rewrites the golden files
+with it, all of them at once:
 
-    PYTHONPATH=src python -m tauber.cli run src/tauber/data/<name>.json \\
-        --format both --out tests/golden --quiet
-
-and for the others (all of them at once):
-
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python -m tests.test_golden_reports
 
 A rewrite that moves numbers keeps every status, and a test here shows
 that each moved number is now closer to an exact reference.
@@ -34,7 +29,7 @@ import pathlib
 
 import pytest
 
-from tauber import TransformValue, convergence, emit, load_scenario, run_scenario
+from tauber import TransformValue, convergence, emit, load_scenario, measures, run_scenario
 from tests.conftest import mpmath_abs_transform
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -61,6 +56,32 @@ QUADPACK_NUMBERS = {
     "checks[1].report.table[0].tail_max": 0.9939811603838323,
     "checks[1].report.witnesses[0].growth_rate": -0.007445345515246978,
     "checks[1].report.witnesses[0].value": 1.3342390194133904,
+}
+
+# The numbers the integer-power kernel moved when its cancelling
+# differences gave way to the positive series of gamma(j+1, z*delta) and,
+# at z = 0, to (hi - lo) times a Horner sum; by golden file and JSON path.
+KERNEL_NUMBERS = {
+    "mollified-point-mass.json": {
+        "checks[0].report.statistics.max_extrapolated_abs_deviation": 3.1802287040784416e-13,
+        "checks[0].report.table[0].extrapolated": -3.1802287040784416e-13,
+    },
+    "sweep/mollified-point-mass.json": {
+        "checks[0].report.statistics.max_extrapolated_abs_deviation": 2.2637406474379665e-09,
+        "checks[0].report.statistics.max_tail_abs_deviation": 7.84623686023167e-07,
+        "checks[0].report.table[0].extrapolated": -2.2637406474379665e-09,
+        "checks[0].report.table[0].tail_max_abs": 7.84623686023167e-07,
+    },
+    "kinds/every-check-kind.json": {
+        "checks[21].report.children[5].statistics.max_best_window_stat": 0.024819603367335324,
+        "checks[21].report.children[5].table[0].best_window_stat": 0.011187088974192485,
+        "checks[21].report.children[5].table[1].best_window_stat": 0.024819603367335324,
+    },
+    "overrides/every-check-kind.json": {
+        "checks[21].report.children[5].statistics.max_best_window_stat": 0.024819603367335324,
+        "checks[21].report.children[5].table[0].best_window_stat": 0.004002304284627167,
+        "checks[21].report.children[5].table[1].best_window_stat": 0.024819603367335324,
+    },
 }
 
 
@@ -107,7 +128,9 @@ def sweep_source(path: pathlib.Path):
 
 
 def write_reports() -> None:
-    """Rewrite every golden file outside the bundled set from the current code."""
+    """Rewrite every golden file from the current code."""
+    for path in SCENARIOS:
+        emit(run_scenario(load_scenario(path)), GOLDEN, "both")
     for path in SCENARIOS + STRESS:
         emit(run_scenario(load_scenario(sweep_source(path))), GOLDEN / "sweep", "both")
     emit(run_scenario(load_scenario(EVERY_KIND)), GOLDEN / "kinds", "both")
@@ -158,6 +181,41 @@ def test_rewritten_sweep_numbers_moved_toward_mpmath(monkeypatch):
             assert value != old and abs(value - exact[key]) < abs(old - exact[key]), key
         else:
             assert value == exact[key], key
+
+
+MOLLIFIED = ROOT / "src" / "tauber" / "data" / "mollified_delta.json"
+
+
+@pytest.mark.parametrize("name,source,overrides", [pytest.param(*case, id=case[0]) for case in [
+    ("mollified-point-mass.json", MOLLIFIED, {}),
+    ("sweep/mollified-point-mass.json", sweep_source(MOLLIFIED), {}),
+    ("kinds/every-check-kind.json", EVERY_KIND, {}),
+    ("overrides/every-check-kind.json", EVERY_KIND, {"n_max": 32, "tol": 0.5}),
+]])
+def test_rewritten_kernel_numbers_moved_toward_exact_kernel(name, source, overrides, monkeypatch):
+    # the report from a 250-digit exact kernel is the reference: the same
+    # statuses and every other non-float leaf, and each number the rewrite
+    # moved is now closer to it
+    from tests.test_kernel_oracle import exact, exact_integer
+
+    kernel = measures.power_exp_integral
+
+    def exact_kernel(p, sigma, freq, lo, hi):
+        kernel(p, sigma, freq, lo, hi)  # the float kernel's typed errors
+        if float(p).is_integer() and p >= 0:
+            return exact_integer(int(p), sigma, freq, lo, hi)
+        return complex(exact(p, sigma, lo, hi))
+
+    golden = leaves(json.loads((GOLDEN / name).read_text()))
+    monkeypatch.setattr(measures, "power_exp_integral", exact_kernel)
+    reference = leaves(json.loads(run_scenario(load_scenario(source), **overrides).to_json()))
+    assert golden.keys() == reference.keys()
+    for key, value in golden.items():
+        if not isinstance(value, float):
+            assert value == reference[key], key
+    for key, old in KERNEL_NUMBERS[name].items():
+        new = golden[key]
+        assert new != old and abs(new - reference[key]) < abs(old - reference[key]), key
 
 
 if __name__ == "__main__":
