@@ -54,7 +54,7 @@ def _int_monomial_exp_from_zero(j: int, z: complex, delta: float) -> complex:
                 break
             coef *= -z / (m + 1)
         return acc
-    if abs(z) * delta <= 0.5 * j:
+    if j > 1 and abs(z) * delta <= 0.5 * j:
         # well before |z|*delta = j+1 the difference below cancels; the
         # positive series of gamma(j+1, z*delta) (DLMF 8.7.1) does not
         return cmath.exp(-z * delta) * delta ** (j + 1) * _lower_gamma_series(j + 1, z * delta)

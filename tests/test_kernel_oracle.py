@@ -101,14 +101,6 @@ def test_integer_power_mass_overflow_is_a_divergent_transform():
         m.distribution(1e60)
 
 
-@pytest.mark.parametrize("p,s,hi", [(12, 1e-30, 1e31), (3, 1e-200, 1e300), (2, 1e-170, math.inf)])
-def test_integer_power_of_tiny_z_is_a_divergent_transform(p, s, hi):
-    # z^(j+1) underflows to 0 where j!/z^(j+1) overflows; a bare
-    # ZeroDivisionError before
-    with pytest.raises(DivergentTransform):
-        power_exp_integral(p, s, 0.0, 0.0, hi)
-
-
 @pytest.mark.parametrize("p,sigma,freq", [
     pytest.param(1.0, 0.0, 0.0, id="integer"),
     pytest.param(2.0, -1.0, 0.0, id="integer-growing"),
@@ -139,6 +131,10 @@ def test_divergent_tail_is_one_non_integrable_tail(p, sigma, freq):
     # (p+1)/s overflows a float, so no float is past the transition point
     (-0.95, 5e-324, 0.0, math.inf, None),
     (-0.5, 5e-324, 1e300, math.inf, None),
+    # an integer power of z underflows to 0 where j!/z^(j+1) overflows
+    (12, 1e-30, 0.0, 1e31, None),
+    (3, 1e-200, 0.0, 1e300, None),
+    (2, 1e-170, 0.0, math.inf, None),
 ])
 def test_extreme_power_or_decay_is_exact_or_divergent(p, s, lo, hi, want):
     if want is not None:
