@@ -88,8 +88,7 @@ def test_float_overflow_is_a_divergent_transform():
     pytest.param(Term(1.0, 0.0, 0.0, "cos", 2.0), id="cos-2x"),
 ])
 def test_integer_power_overflow_is_a_divergent_transform(term):
-    # e^800 overflows a float inside the integer family too, which raised a
-    # bare OverflowError before the kernel's one overflow guard
+    # e^800 overflows a float inside the integer family too
     m = SignedMeasure.from_density((term,), lo=0.0, hi=800.0)
     with pytest.raises(DivergentTransform):
         laplace_transform(m, -1.0)
