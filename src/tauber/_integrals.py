@@ -208,7 +208,7 @@ def _gamma_difference(p: float, s: float, lo: float, hi: float) -> float:
     return math.exp(a * math.log(near) - s * near + math.log(rest))
 
 
-def _real_power_exp(p: float, s: float, lo: float, hi: float) -> float:
+def _real_power_exp_value(p: float, s: float, lo: float, hi: float) -> float:
     """integral of x^p * exp(-s*x) dx over [lo, hi]; s > 0 if hi is infinite."""
     width = hi - lo
     if width <= _NARROW * lo and abs(s) * width <= _SERIES_CUTOFF:
@@ -256,7 +256,7 @@ def power_exp_integral(
         if integer:
             value = _integer_power_exp(int(p), complex(sigma, -freq), lo, hi)
         else:
-            value = complex(_real_power_exp(p, sigma, lo, hi))
+            value = complex(_real_power_exp_value(p, sigma, lo, hi))
     except (OverflowError, ZeroDivisionError):  # z^(j+1) underflows where j!/z^(j+1) overflows
         value = math.inf
     if not cmath.isfinite(value):
