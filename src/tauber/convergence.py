@@ -74,8 +74,8 @@ class MeasureSequence:
 
 def index_grid(n_max: int = DEFAULT_N_MAX, ratio: float = DEFAULT_RATIO) -> tuple[int, ...]:
     """Geometric index grid {1, ceil(r), ceil(r^2), ...} capped at n_max."""
-    if not 1 <= n_max < math.inf:
-        raise ValueError(f"n_max must be finite and >= 1, got {n_max}")
+    if not 1 <= n_max < math.inf or not float(n_max).is_integer():
+        raise ValueError(f"n_max must be a finite integer >= 1, got {n_max}")
     if not 1.0 < ratio < math.inf:
         raise ValueError(f"grid ratio must be finite and > 1, got {ratio}")
     out = {1, n_max}

@@ -33,13 +33,12 @@ detects and describes.
 Both results depend on the segment alone, and the convergence checks and
 Karamata pipelines query the same measures across whole grids of lambda,
 so each is computed once per `DensitySegment` object and kept in the
-segment's private `_memo` slot (`measures._memo`, the helper that also
-fills each measure's memo).  Values that depend on lambda are kept on
-the measure, not here.  The memo lives and dies with its segment: there
-is no global cache to size or to clear, and an operation that builds
-fresh segments (a fresh measure, a Jordan part) keeps nothing alive
-after it.  A `SignChangeIsolationFailure` is kept as its message and
-raised afresh on every later call.
+segment's private `_memo` slot (`measures._memo`), beside the segment's
+integrals and total-variation transform values.  The memo lives and dies
+with its segment: there is no global cache to size or to clear, and an
+operation that builds fresh segments (a fresh measure, a Jordan part)
+keeps nothing alive after it.  A `SignChangeIsolationFailure` is kept as
+its message and raised afresh on every later call.
 """
 
 from __future__ import annotations
@@ -349,7 +348,6 @@ class PeriodicTail:
     y^(power-j) * g(y) for j = 0..power, the integrands of the one-period
     moments."""
 
-    lo: float
     power: int
     decay: float
     period: float
@@ -419,4 +417,4 @@ def _periodic_tail(segment: DensitySegment) -> PeriodicTail | None:
         ))
         for j in range(int(p) + 1)
     )
-    return PeriodicTail(segment.lo, int(p), a, period, factor, window, shifted)
+    return PeriodicTail(int(p), a, period, factor, window, shifted)

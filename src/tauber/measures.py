@@ -17,15 +17,18 @@ finite and +inf otherwise; for this grammar an unbounded-interval
 evaluation is finite exactly when every overlapping unbounded segment
 has strictly decaying terms.
 
-Measures and segments are immutable, and the convergence checks and
-Karamata pipelines ask the same closed-form questions of the same objects
-across whole grids.  So each owner keeps the answers it has given in a
-private `_memo` slot, filled by the one helper `_memo` below: a
-`SignedMeasure` its interval masses (hence `distribution`) and, for
-`transforms`, its signed and total-variation transform values; a
-`DensitySegment` the sign runs and periodic tail of `decomposition`,
-which do not depend on the transform argument.  A memo lives and dies
-with its owner: there is no global cache to size or to clear.
+Segments are immutable, and the convergence checks and Karamata
+pipelines ask the same closed-form questions of the same segments across
+whole grids, often through different queries: the windows (x, x+d] for
+several d clip to one window of a segment, and an interval mass and a
+transform at lam = 0 are the same integral.  So the work, not the query,
+is remembered, and only by the segment that does it: each
+`DensitySegment` keeps in a private `_memo` slot, filled by the one
+helper `_memo` below, its integrals (`DensitySegment.integral`, which
+interval masses and signed transforms sum), the sign runs and periodic
+tail of `decomposition`, and its total-variation transform values from
+`transforms`.  A memo lives and dies with its segment: there is no
+global cache to size or to clear.
 """
 
 from __future__ import annotations
@@ -74,20 +77,20 @@ def _json_number(value: Any, path: str) -> float:
     return _build(path, _number, value)
 
 
-def _memo(owner, key, compute):
-    """compute(), computed once per owner object and key.
+def _memo(segment, key, compute):
+    """compute(), computed once per `DensitySegment` object and key.
 
-    The owner is a `DensitySegment` or a `SignedMeasure`, and the values
-    live in its `_memo` dict.  A `SignChangeIsolationFailure` from compute
-    is stored as its message (no memoised value is a str) and raised as a
-    fresh exception on this and every later call: a stored exception would
-    hold its traceback, whose frames hold the memo, and so make a
-    reference cycle.  Other exceptions are not stored.
+    The values live in the segment's `_memo` dict.  A
+    `SignChangeIsolationFailure` from compute is stored as its message (no
+    memoised value is a str) and raised as a fresh exception on this and
+    every later call: a stored exception would hold its traceback, whose
+    frames hold the memo, and so make a reference cycle.  Other exceptions
+    are not stored.
     """
-    memo = owner._memo
+    memo = segment._memo
     if memo is None:
         memo = {}
-        object.__setattr__(owner, "_memo", memo)
+        object.__setattr__(segment, "_memo", memo)
     if key in memo:
         value = memo[key]
     else:
@@ -294,9 +297,6 @@ class Expression:
     def scale(self, alpha: float) -> "Expression":
         return self._rewritten(coefficient=lambda t: alpha * t.coefficient)
 
-    def __add__(self, other: "Expression") -> "Expression":
-        return Expression(self.terms + other.terms)
-
     def __neg__(self) -> "Expression":
         return self.scale(-1.0)
 
@@ -360,9 +360,9 @@ class DensitySegment:
     lo: float
     hi: float
     density: Expression
-    # Per-segment results of work that depends on this segment alone (sign
-    # runs, periodic tail), filled and read by `_memo`; outside ==, hash
-    # and repr.
+    # Per-segment results of work on this segment (integrals, sign runs,
+    # periodic tail, total-variation transforms), filled and read by
+    # `_memo`; outside ==, hash and repr.
     _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -385,6 +385,12 @@ class DensitySegment:
         lo = max(self.lo, a)
         hi = min(self.hi, b)
         return (lo, hi) if hi > lo else None
+
+    def integral(self, lo: float, hi: float, extra_decay: float = 0.0) -> float:
+        """`Expression.integral` of the density over [lo, hi], computed once
+        per segment object and arguments (see `_memo`)."""
+        return _memo(self, ("integral", lo, hi, extra_decay),
+                     lambda: self.density.integral(lo, hi, extra_decay))
 
 
 def _canonical_segments(segments: Iterable[DensitySegment]) -> tuple[DensitySegment, ...]:
@@ -423,10 +429,6 @@ class SignedMeasure:
 
     atoms: tuple[Atom, ...] = ()
     segments: tuple[DensitySegment, ...] = ()
-    # Per-measure results of closed-form queries (interval masses, signed
-    # and total-variation transforms), filled and read by `_memo`; outside
-    # ==, hash and repr.
-    _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", _canonical_atoms(self.atoms))
@@ -466,16 +468,12 @@ class SignedMeasure:
         Returns +inf when either Jordan part of the restriction is
         infinite, which for this grammar happens exactly when b is
         infinite and some overlapping unbounded segment has a zero-decay
-        term.  Computed once per measure object and arguments (see
-        `_memo`).
+        term.  Each segment integral is computed once per segment object
+        (`DensitySegment.integral`).
         """
         if not (0 <= a <= b):
             raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
-        a, b, include_left = float(a), float(b), bool(include_left)
-        return _memo(self, ("interval", a, b, include_left),
-                     lambda: self._interval(a, b, include_left))
-
-    def _interval(self, a: float, b: float, include_left: bool) -> float:
+        a, b = float(a), float(b)
         acc = 0.0
         for atom in self.atoms:
             if (a < atom.location <= b) or (include_left and atom.location == a):
@@ -487,7 +485,7 @@ class SignedMeasure:
             lo, hi = ab
             if math.isinf(hi) and seg.density.min_decay == 0.0:
                 return math.inf
-            acc += seg.density.integral(lo, hi)
+            acc += seg.integral(lo, hi)
         return acc
 
     def distribution(self, x: float) -> float:

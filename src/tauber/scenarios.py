@@ -169,7 +169,10 @@ _REQUIRED = inspect.Parameter.empty  # default of a parameter a check cannot run
 
 
 def _int(v: Any) -> int:
-    return int(_number(v))
+    value = _number(v)
+    if not value.is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(value)
 
 
 def _bool(v: Any) -> bool:

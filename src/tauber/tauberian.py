@@ -97,7 +97,6 @@ class RVEstimate:
     dispersion: float            # max deviation of per-ratio estimates
     per_ratio: dict[float, float]
     regression_index: float      # log-log regression cross-check
-    anchor: float                # grid point the ratios were taken at
     method: str                  # "transform" | "distribution"
 
 
@@ -126,7 +125,6 @@ def _estimate(
     xs: Sequence[float],
     ys: Sequence[float],
     sign: float,
-    anchor: float,
     method: str,
 ) -> RVEstimate:
     """Median and spread of the per-ratio estimates, with `sign` times the
@@ -134,7 +132,7 @@ def _estimate(
     rho = float(median(per_ratio.values()))
     dispersion = max(abs(v - rho) for v in per_ratio.values())
     slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0]) if len(xs) >= 2 else math.nan
-    return RVEstimate(rho, dispersion, per_ratio, sign * slope, anchor, method)
+    return RVEstimate(rho, dispersion, per_ratio, sign * slope, method)
 
 
 def rv_index_from_transform(
@@ -165,8 +163,7 @@ def rv_index_from_transform(
             )
         per_ratio[lam] = -math.log(r) / math.log(lam)
     small = taus[tail_start(len(taus)):]
-    return _estimate(per_ratio, small, [abs(psis[t]) for t in small], -1.0, anchor,
-                     "transform")
+    return _estimate(per_ratio, small, [abs(psis[t]) for t in small], -1.0, "transform")
 
 
 def rv_index_from_distribution(
@@ -198,8 +195,7 @@ def rv_index_from_distribution(
                 )
             ests.append(math.log(r) / math.log(x))
         per_ratio[x] = float(np.mean(ests))
-    return _estimate(per_ratio, window, [abs(v) for v in Fs.values()], 1.0, ts[-1],
-                     "distribution")
+    return _estimate(per_ratio, window, [abs(v) for v in Fs.values()], 1.0, "distribution")
 
 
 def rv_report(

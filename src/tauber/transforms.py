@@ -23,16 +23,15 @@ uses scipy; the tests check both transforms against exact mpmath
 references.
 
 The convergence checks and Karamata pipelines ask for the same measures
-at the same lam many times, so both transforms are memoised with
-`measures._memo`: `laplace_transform` keeps each value, and
-`abs_transform` each `TransformValue`, in the measure's memo, keyed by
-the arguments the computation uses.  Below it, a segment's memo keeps
-only what does not depend on lam (its sign runs and periodic tail, see
-`decomposition`): a repeat at the same lam is answered by the measure
-first, so a per-segment value memo would never be read.  A memo lives
-as long as its owner does.
+at the same lam many times, so the work is memoised on each segment with
+`measures._memo`: `laplace_transform` sums the segment integrals of
+`DensitySegment.integral`, and `abs_transform` keeps each segment's
+(value, error bound) at lam in the segment's memo; the sign runs and
+periodic tail below those do not depend on lam (see `decomposition`).
+The atoms are summed afresh on every call.  A memo lives as long as its
+segment.
 `DivergentTransform`, and the ValueError for a NaN lam, are raised
-afresh on every call: the lam checks run before the lookup.
+afresh on every call: the lam checks run before any lookup.
 """
 
 from __future__ import annotations
@@ -87,18 +86,14 @@ def laplace_transform(measure: SignedMeasure, lam: float) -> float:
     """Signed transform value at lam, in closed form.
 
     Raises DivergentTransform when an unbounded segment is not damped
-    (needs lam + decay > 0 for each of its terms).  Computed once per
-    measure object and lam (see `measures._memo`).
+    (needs lam + decay > 0 for each of its terms).  Each segment integral
+    is computed once per segment object and lam (`DensitySegment.integral`).
     """
     lam = _lam(lam)
     _check_convergent(measure, lam)
-    return _memo(measure, ("laplace", lam), lambda: _laplace(measure, lam))
-
-
-def _laplace(measure: SignedMeasure, lam: float) -> float:
     acc = math.fsum(a.weight * math.exp(-lam * a.location) for a in measure.atoms)
     for seg in measure.segments:
-        acc += seg.density.integral(seg.lo, seg.hi, extra_decay=lam)
+        acc += seg.integral(seg.lo, seg.hi, extra_decay=lam)
     return acc
 
 
@@ -226,17 +221,13 @@ def abs_transform(measure: SignedMeasure, lam: float) -> TransformValue:
     Returns +inf (exactly) when |mu|'s transform diverges.  Raises
     SignChangeIsolationFailure when the sign runs of a bounded segment or
     of a window cannot be isolated, or no T below 1e9 bounds the tail.
-    Computed once per measure object and lam (see `measures._memo`).
+    Each segment's part is computed once per segment object and lam.
     """
     lam = _lam(lam)
-    return _memo(measure, ("abs", lam), lambda: _abs_measure(measure, lam))
-
-
-def _abs_measure(measure: SignedMeasure, lam: float) -> TransformValue:
     value = math.fsum(abs(a.weight) * math.exp(-lam * a.location) for a in measure.atoms)
     err = 0.0
     for seg in measure.segments:
-        v, e = _abs_segment(seg, lam)
+        v, e = _memo(seg, ("abs", lam), lambda: _abs_segment(seg, lam))
         if math.isinf(v):
             return TransformValue(math.inf, 0.0)
         value += v

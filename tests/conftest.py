@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import tauber.measures
 from tauber import DensitySegment, Expression, SignedMeasure, Term
 
 # kept modest so the 100-case property loops stay well inside the runtime
@@ -238,3 +239,17 @@ def mollified_delta_rule(lo=1.0):
             (Term(float(n)),), lo=lo, hi=lo + 1.0 / n,
         )
     return rule
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts `power_exp_integral` calls made through `Expression.integral`."""
+    calls = []
+    kernel = tauber.measures.power_exp_integral
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(tauber.measures, "power_exp_integral", counted)
+    return calls

@@ -8,6 +8,8 @@ from dataclasses import replace
 import pytest
 
 from tauber import (
+    DensitySegment,
+    Expression,
     MeasureSequence,
     SignedMeasure,
     Term,
@@ -64,6 +66,13 @@ def test_index_grid_is_geometric_and_capped():
     for n_max, ratio in [(10, math.inf), (math.inf, 2.0)]:
         with pytest.raises(ValueError):
             index_grid(n_max, ratio)
+
+
+def test_index_grid_refuses_a_non_integer_n_max():
+    # a fractional n_max would be a grid index, and templates evaluated there
+    with pytest.raises(ValueError, match="integer"):
+        index_grid(10.5)
+    assert index_grid(1e8, 10.0)[-1] == 100_000_000  # an integral float is an integer
 
 
 def test_tail_estimate_extrapolates_first_order_error():
@@ -230,6 +239,19 @@ def test_bounded_laplace_blows_up_on_growing_mass():
     assert rep.witnesses[0]["n"] == index_grid()[-1]
 
 
+def test_bounded_laplace_non_finite_tail_fails_with_infinite_growth():
+    # each segment's |psi| is finite, but their sum overflows to +inf
+    m = SignedMeasure(segments=(
+        DensitySegment(0.0, 1.0, Expression((Term(1e308),))),
+        DensitySegment(1.0, 2.0, Expression((Term(1e308, 1.0),))),
+    ))
+    rep = bounded_laplace_test(constant_seq(m), (1e-3,), n_max=16)
+    (row,) = rep.table
+    assert row["tail_max"] == math.inf and row["growth_rate"] == math.inf
+    assert rep.witnesses[0]["growth_rate"] == math.inf
+    assert rep.status == "fail"
+
+
 def test_bounded_laplace_cap():
     m = SignedMeasure.point_mass(0.0, 3.0)
     rep = bounded_laplace_test(constant_seq(m), (1.0,), cap=1.0)
@@ -262,6 +284,17 @@ def test_right_equicontinuity_dipole_fails_with_reciprocal_witness():
     (w,) = rep.witnesses
     assert w["n"] >= 1.0 / w["delta"]
     assert w["value"] == pytest.approx(1.0)
+
+
+def test_right_equicontinuity_integrates_each_clipped_window_once(kernel_calls):
+    # windows (1, 1 + delta) with delta >= 1/n all clip to the whole segment
+    # [1, 1 + 1/n) of mu_n, whose one constant term is one kernel call
+    seq = mollified_seq()
+    ns = index_grid(1000, 2.0)
+    right_equicontinuity_test(seq, 1.0, n_max=1000, ratio=2.0)
+    windows = {(n, seq.measure(n).segments[0].overlap(1.0, 1.0 + delta))
+               for n in ns for delta in convergence.DEFAULT_H_GRID}
+    assert len(kernel_calls) == len(windows) < len(ns) * len(convergence.DEFAULT_H_GRID)
 
 
 def test_right_equicontinuity_constant_at_continuity_point():
@@ -331,6 +364,16 @@ def test_part_domination_near_cancellation_fails():
     rep = part_domination_test(constant_seq(m), LAMBDAS, delta=0.5)
     assert rep.status == "fail"
     assert rep.witnesses
+
+
+def test_part_domination_pass_without_bounded_transforms_is_inconclusive():
+    # n delta_1 has no negative part, so the ratio passes, but it is unbounded
+    seq = MeasureSequence(lambda n: float(n) * SignedMeasure.point_mass(1.0), limit=None)
+    rep = part_domination_test(seq, LAMBDAS, n_max=1000)
+    assert rep.statistics["max_dominated_ratio"] == 0.0
+    assert rep.child("bounded_laplace").status == "fail"
+    assert rep.status == "inconclusive"
+    assert any("verdicts disagree" in note for note in rep.notes)
 
 
 def incommensurable_tail():
@@ -417,6 +460,15 @@ def test_forward_composite_flags_broken_implication():
                              F_tol=0.02, epsilon=5.0)
     assert rep.pattern == "hypotheses-pass, conclusion-fail"
     assert rep.status == "fail"
+
+
+def test_forward_composite_inconclusive_hypothesis_pattern():
+    # epsilon = 1 puts the dipole's equicontinuity statistic, 1, inside the band
+    rep = continuity_forward(dipole_seq(0.5), 0.5, LAMBDAS, psi_tol=1e-6,
+                             F_tol=0.02, epsilon=1.0)
+    assert rep.child("right_equicontinuity").status == "inconclusive"
+    assert rep.pattern == "hypotheses-inconclusive, conclusion-fail"
+    assert rep.status == "inconclusive"
 
 
 def test_backward_composite_mollified():

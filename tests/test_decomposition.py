@@ -475,17 +475,18 @@ def test_repeat_abs_transform_does_not_isolate_again(isolations, monkeypatch):
     assert quads == []  # no path of abs_transform integrates numerically
 
 
-def test_segment_memo_keeps_only_what_does_not_depend_on_lam():
+def test_segment_memo_keeps_its_structure_once_and_one_abs_value_per_lam():
     m = SignedMeasure(segments=(
         DensitySegment(0.0, 10.0, Expression((Term(1.0, 0.0, 0.0, "cos", 2.0),))),
         DensitySegment(10.0, math.inf, WORKED),
     ))
-    for lam in np.linspace(0.1, 2.0, 10):
+    lams = [float(lam) for lam in np.linspace(0.1, 2.0, 10)]
+    for lam in lams + lams:
         abs_transform(m, lam)
-    assert len(m._memo) == 10  # the values are kept on the measure
     for seg in m.segments:
-        assert seg._memo
-        assert set(seg._memo) <= {"sign_runs", "periodic_tail_structure"}
+        structure = {key for key in seg._memo if isinstance(key, str)}
+        assert structure and structure <= {"sign_runs", "periodic_tail_structure"}
+        assert set(seg._memo) - structure == {("abs", lam) for lam in lams}
 
 
 def test_uncertifiable_tail_raises_the_same_failure_every_call(isolations):

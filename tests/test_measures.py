@@ -1,6 +1,6 @@
 """Core measure algebra: construction, canonicalisation, interval masses,
 distribution functions, the operation closure (tilt/scale/add/integrated
-tail), the JSON wire format and the per-measure memo."""
+tail), the JSON wire format and the segment memos behind the queries."""
 
 import math
 
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tauber.measures
 from tauber import (
     Atom,
     DensitySegment,
@@ -320,7 +319,7 @@ def test_canonical_form_is_order_independent():
 
 
 # ---------------------------------------------------------------------------
-# per-measure memo
+# segment memos: each segment keeps the integrals it computed
 # ---------------------------------------------------------------------------
 
 def memo_measure():
@@ -332,20 +331,6 @@ def memo_measure():
             DensitySegment(10.0, INF, Expression((Term(1.0, 1.0, 0.5),))),
         ),
     )
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Counts `power_exp_integral` calls made through `Expression.integral`."""
-    calls = []
-    kernel = tauber.measures.power_exp_integral
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(tauber.measures, "power_exp_integral", counted)
-    return calls
 
 
 @pytest.mark.parametrize("query", [
@@ -362,7 +347,7 @@ def test_repeat_query_on_the_same_measure_makes_no_kernel_call(kernel_calls, que
     assert made > 0
     assert query(m) == first
     assert len(kernel_calls) == made
-    assert query(memo_measure()) == first  # the memo belongs to the object
+    assert query(memo_measure()) == first  # the memo belongs to the segment objects
     assert len(kernel_calls) == 2 * made
 
 
@@ -374,8 +359,21 @@ def test_memo_keys_on_the_values_the_computation_uses(kernel_calls):
     laplace_transform(m, 1.0)
     m.interval(0.0, 3.0, include_left=1)
     assert len(kernel_calls) == made
-    laplace_transform(m, 2.0)  # another lam is another query
+    laplace_transform(m, 2.0)  # another lam is another integral
     assert len(kernel_calls) > made
+
+
+def test_a_query_reuses_the_integrals_another_query_computed(kernel_calls):
+    m = memo_measure()  # one term per segment: one kernel call per integral
+    m.distribution(20.0)  # [0, 10) and [10, 20]
+    assert len(kernel_calls) == 2
+    assert m.interval(0.0, 20.0) == m.distribution(20.0)  # the atom sits at 0.5
+    assert len(kernel_calls) == 2
+    m.interval(5.0, 10.0)
+    m.interval(5.0, 30.0)  # (5, 10) again, and (10, 30)
+    assert len(kernel_calls) == 4
+    laplace_transform(m, 0.0)  # [0, 10) again, and [10, inf)
+    assert len(kernel_calls) == 5
 
 
 def test_errors_are_raised_on_every_call_and_never_stored():
@@ -388,7 +386,7 @@ def test_errors_are_raised_on_every_call_and_never_stored():
             m.interval(2.0, 1.0)
         with pytest.raises(ValueError):
             m.distribution(-1.0)
-    assert flat._memo is None and m._memo is None
+    assert all(seg._memo is None for seg in flat.segments + m.segments)
     assert laplace_transform(flat, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
@@ -399,16 +397,17 @@ def test_nan_lam_is_refused_on_every_call_before_the_memo(transform):
     for _ in range(3):
         with pytest.raises(ValueError, match="NaN"):
             transform(m, math.nan)
-    assert m._memo is None
     assert all(seg._memo is None for seg in m.segments)
 
 
-def test_filled_measure_memo_leaves_equality_hash_repr_and_wire_format_alone():
+def test_filled_segment_memos_leave_equality_hash_repr_and_wire_format_alone():
     m, fresh = memo_measure(), memo_measure()
     m.distribution(3.0)
     laplace_transform(m, 0.7)
     abs_transform(m, 0.7)
-    assert m._memo and fresh._memo is None
+    assert all(seg._memo for seg in m.segments)
+    assert all(seg._memo is None for seg in fresh.segments)
+    assert not hasattr(m, "_memo")  # a measure keeps nothing of its own
     assert m == fresh
     assert hash(m) == hash(fresh)
     assert repr(m) == repr(fresh)

@@ -479,6 +479,8 @@ def test_unknown_check_parameter_is_rejected_at_load():
     (lambda d: d.update(config={"n_max": 0}), "config.n_max"),
     (lambda d: d.update(config={"grid_ratio": 1.0}), "config.grid_ratio"),
     (lambda d: d["checks"][4].update(n_max=0), "checks[4].n_max"),
+    (lambda d: d.update(config={"n_max": 10.5}), "config.n_max"),
+    (lambda d: d["checks"][4].update(n_max=10.5), "checks[4].n_max"),
     (lambda d: d["checks"][4].update(grid_ratio=0.5), "checks[4].grid_ratio"),
 ], ids=["missing-lambdas", "lambdas-string", "lambdas-entry", "eps-empty", "tol-list",
         "n_max-string", "unknown-config-key", "duplicate-id", "expected-outside-lambdas",
@@ -486,13 +488,19 @@ def test_unknown_check_parameter_is_rejected_at_load():
         "missing-sequence", "unknown-direction", "t_grid-zero", "tau_grid-negative",
         "h_grid-zero", "karamata-eval_points-zero", "karamata-ratio_points-negative",
         "config-n_max-zero", "config-grid_ratio-one", "check-n_max-zero",
-        "check-grid_ratio-below-one"])
+        "config-n_max-fraction", "check-n_max-fraction", "check-grid_ratio-below-one"])
 def test_parameter_errors_surface_at_load(mutate, field):
     doc = tiny_scenario()
     mutate(doc)
     with pytest.raises(ScenarioValidationError) as e:
         load_scenario(doc)
     assert e.value.field == field
+
+
+def test_an_integral_float_n_max_loads_as_an_integer():
+    scn = load_scenario(tiny_scenario(config={"n_max": 1e8}))
+    (n_max,) = [c.params["n_max"] for c in scn._checks if "n_max" in c.params]
+    assert n_max == 100_000_000 and isinstance(n_max, int)
 
 
 def test_templates_are_parsed_once_at_load(monkeypatch):
@@ -511,8 +519,8 @@ def test_templates_are_parsed_once_at_load(monkeypatch):
 
 
 def test_oscillatory_index_two_makes_at_most_6000_kernel_calls(monkeypatch):
-    # 14,610 without the per-measure memo: two thirds of the closed-form
-    # integrals repeated a query already answered on the same measure
+    # 14,610 without the memos: two thirds of the closed-form integrals
+    # repeated one already computed on the same segment
     import tauber.measures
 
     calls = []

@@ -136,6 +136,18 @@ def test_sign_ratio_condition_nonnegative_is_one():
     assert any("certified nonnegative" in n for n in rep.notes)
 
 
+def test_sign_ratio_condition_zero_measure_is_inconclusive():
+    rep = sign_ratio_condition(SignedMeasure.zero())  # every ratio is 0/0
+    assert math.isnan(rep.statistics["min_tail_bound_ratio"])
+    assert rep.status == "inconclusive"
+
+
+def test_sign_ratio_condition_inside_the_band_is_inconclusive():
+    rep = sign_ratio_condition(power_measure(1.0), floor=1.0)  # the ratio is 1
+    assert rep.statistics["min_tail_bound_ratio"] == pytest.approx(1.0, rel=1e-9)
+    assert rep.status == "inconclusive"
+
+
 def test_window_increment_condition_power_measure():
     rep = window_increment_condition(power_measure(2.0), 1.0)
     assert rep.status == "pass"
