@@ -38,6 +38,8 @@ __all__ = ["power_exp_integral", "NonIntegrableTail"]
 _SERIES_CUTOFF = 0.5
 # Largest (hi-lo)/lo for which non-integer powers expand about lo instead.
 _NARROW = 0.25
+# Step cap of the continued fraction for the upper incomplete gamma.
+_FRACTION_STEPS = 100_000
 
 
 def _int_monomial_exp_from_zero(j: int, z: complex, delta: float) -> complex:
@@ -143,13 +145,19 @@ def _upper_gamma_fraction(a: float, z: float) -> float:
     Legendre's continued fraction (DLMF 8.9.2),
     1/(z+1-a- 1(1-a)/(z+3-a- 2(2-a)/(z+5-a- ...))), evaluated by the
     modified Lentz method; past the transition point it converges fast.
+    It stops once a step's factor is within one ulp of 1: for a huge z
+    every factor is b * (1/b) rounded, which can be 1 - 2^-53 for ever.
+    An infinite z (s * lo overflowed) gives the limit 0, and a fraction
+    that has not converged at the step cap raises DivergentTransform.
     """
+    if math.isinf(z):
+        return 0.0
     tiny = 1e-300
     b = z + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b
     frac = d
-    for i in range(1, 100_000):
+    for i in range(1, _FRACTION_STEPS):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -159,9 +167,10 @@ def _upper_gamma_fraction(a: float, z: float) -> float:
             c = tiny
         delta = d * c
         frac *= delta
-        if abs(delta - 1.0) <= 1e-16:
-            break
-    return frac
+        if abs(delta - 1.0) <= 2.0 ** -52:
+            return frac
+    raise DivergentTransform(
+        f"continued fraction for Gamma({a}, {z}) did not converge in {_FRACTION_STEPS} steps")
 
 
 def _kummer_series(a: float, z: float) -> float:
@@ -240,7 +249,8 @@ def power_exp_integral(
     The caller takes .real for a cosine factor and .imag for a sine factor.
     Non-integer powers are only supported with freq == 0.  Raises
     NonIntegrableTail when hi is infinite and sigma <= 0, and
-    DivergentTransform when a finite integral overflows a float.
+    DivergentTransform when a finite integral overflows a float or its
+    continued fraction does not converge.
     """
     if hi < lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .decomposition import certified_nonnegative, jordan
 from .errors import SignChangeIsolationFailure
 from .measures import SignedMeasure
@@ -109,6 +107,31 @@ def _extrapolated(ns: Sequence[int], vals: Sequence[float]) -> float:
         c = (vals[-2] - vals[-1]) / (1.0 / n1 - 1.0 / n2)
         return vals[-1] - c / n2
     return vals[-1]
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The mean m = fsum(values)/n, corrected once by the exactly rounded
+    residual fsum(values - m)/n (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, §4).  Values that are not all finite, or
+    whose sum leaves the float range, take the plain sum."""
+    n = len(values)
+    try:
+        m = math.fsum(values) / n
+        return m + math.fsum([*values, *[-m] * n]) / n
+    except (OverflowError, ValueError):  # inf - inf, or a sum past the float range
+        return sum(values) / n
+
+
+def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of ys against xs, by the two-pass closed form
+    fsum((x - mean x)(y - mean y)) / fsum((x - mean x)^2); NaN when the
+    xs are all equal, one point included."""
+    x_bar, y_bar = _mean(xs), _mean(ys)
+    dx = [x - x_bar for x in xs]
+    spread = math.fsum(d * d for d in dx)
+    if spread == 0.0:
+        return math.nan
+    return math.fsum(d * (y - y_bar) for d, y in zip(dx, ys)) / spread
 
 
 def classify(stat: float, tol: float, band: float = DEFAULT_BAND) -> str:
@@ -390,7 +413,7 @@ def bounded_laplace_test(
     worst_growth = 0.0
     worst_tail = 0.0
     k0 = tail_start(len(ns))
-    log_n = np.log([float(n) for n in ns[k0:]])
+    log_n = [math.log(float(n)) for n in ns[k0:]]
     for lam in lambdas:
         try:
             vals = [abs_transform(seq.measure(n), lam).value for n in ns]
@@ -405,8 +428,8 @@ def bounded_laplace_test(
             growth = math.inf
         else:
             # regression slope against log n, relative to the tail's size
-            slope = float(np.polyfit(log_n, tail, 1)[0]) if len(tail) >= 2 else 0.0
-            mean = float(np.mean(tail))
+            slope = _slope(log_n, tail) if len(tail) >= 2 else 0.0
+            mean = _mean(tail)
             scale = max(1.0, abs(mean)) if math.isfinite(mean) else 1.0
             growth = slope / scale if math.isfinite(slope) else math.inf
         worst_growth = max(worst_growth, growth)

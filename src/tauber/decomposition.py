@@ -9,12 +9,34 @@ samples and are missed.  A density whose terms are all plain (no cos or
 sin) with coefficients of one sign has that sign on all of (0, inf), so
 its one run, the whole segment, needs no sampling (`_plain_sign`).
 
+Two samplers take the same grid, and the rule that picks one costs the
+CLI no start-up.  A pass of `BASELINE_SAMPLES` intervals in a process
+that has not imported numpy calls the scalar `Expression.evaluate` at
+each point (`_scalar_brackets`, about 1 ms per pass): a `tauber run` of
+a bundled scenario then never imports numpy, which is half its start-up
+time.  Any longer pass, or any pass once numpy is loaded, evaluates the
+grid in one numpy call (`_array_brackets`), about 20 times faster per
+pass; a process that sweeps many passes has paid for the import once.
+The grid's size alone cannot be the rule: a high-index sweep of a
+bundled scenario makes dozens of 1000-sample passes, which scalar
+sampling would slow by tens of milliseconds.
+
+Both samplers give the same signs, so the sign runs never depend on
+which one ran.  The grid points are equal bit for bit (`numpy.linspace`
+computes i * step + lo, as the scalar loop does).  The values may differ
+in the last bits, since `evaluate` sums the terms with `math.fsum` and
+`evaluate_array` in order; so the array sampler takes `evaluate` at every
+point within `_SIGN_GUARD` times the envelope of zero
+(`_guarded_values`), a margin about 100 times the largest such
+difference, and an exact zero is nudged by the same rule on both sides.
+
 A segment with many brackets bisects them all together: each step
 evaluates every live midpoint in one numpy call (`_bisect_roots`), with
-the per-bracket rules and results of the scalar loop (`_bisect_root`).
-Each numpy step has a fixed cost of tens of microseconds, so below
-`ARRAY_BISECT_MIN` brackets, which covers the short windows of periodic
-tails and most scenario segments, the scalar loop is faster and is used.
+the same guard and the per-bracket rules and results of the scalar loop
+(`_bisect_root`).  Each numpy step has a fixed cost of tens of
+microseconds, so below `ARRAY_BISECT_MIN` brackets, which covers the
+short windows of periodic tails and most scenario segments, the scalar
+loop is faster and is used.
 
 On unbounded intervals a crossing count can be infinite, so the tail
 needs a certificate: the dominant term group (slowest decay, then highest
@@ -44,13 +66,16 @@ its message and raised afresh on every later call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SignChangeIsolationFailure
 from .measures import Atom, DensitySegment, Expression, SignedMeasure, Term, _memo
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SignRun",
@@ -71,9 +96,9 @@ BISECT_TOL = 1e-12
 # (`_bisect_roots`); below it the scalar loop is faster, because each array
 # step pays numpy's fixed per-call cost (measured break-even: ~16 brackets).
 ARRAY_BISECT_MIN = 16
-# Relative to the envelope, the largest midpoint value whose array sign is
-# re-checked with the scalar `evaluate`; about 100 times the rounding
-# difference between the two sums.
+# Relative to the envelope, the largest sample or midpoint value whose
+# array sign is re-checked with the scalar `evaluate`; about 100 times the
+# rounding difference between the two sums.
 _SIGN_GUARD = 2.0 ** -40
 
 
@@ -156,20 +181,19 @@ def _bisect_root(expr: Expression, a: float, b: float, fa: float) -> float:
     return 0.5 * (a + b)
 
 
-def _bisect_roots(
-    expr: Expression, a: np.ndarray, b: np.ndarray, fa: np.ndarray
-) -> np.ndarray:
+def _bisect_roots(expr: Expression, a, b, fa) -> np.ndarray:
     """`_bisect_root` on every bracket (a[i], b[i]) at once.
 
     Each step evaluates the midpoints of all live brackets in one
-    `evaluate_array` call, and every bracket follows the scalar rules:
-    the same stop test, step cap and result.  The array sum can differ
-    from `evaluate` (math.fsum of the term values) in the last bits, so a
-    midpoint whose value is within `_SIGN_GUARD` times the envelope of
-    zero is re-evaluated with `evaluate` and takes the scalar branch,
-    exact-zero nudge included; the roots equal `_bisect_root`'s bit for
-    bit.  A double zero sets a = b = mid, which `0.5 * (a + b)` returns.
+    `_guarded_values` call, and every bracket follows the scalar rules:
+    the same stop test, step cap and result.  A midpoint whose sign the
+    array sum leaves in doubt takes its `evaluate` value and the scalar
+    branch, exact-zero nudge included; the roots equal `_bisect_root`'s
+    bit for bit.  A double zero sets a = b = mid, which `0.5 * (a + b)`
+    returns.
     """
+    import numpy as np
+
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     up = np.asarray(fa) > 0
@@ -180,52 +204,100 @@ def _bisect_roots(
             break
         al, bl = a[live], b[live]
         mid = 0.5 * (al + bl)
-        fm = expr.evaluate_array(mid)
-        near_zero = ~(np.abs(fm) > _SIGN_GUARD * env.evaluate_array(mid))
-        for j in np.flatnonzero(near_zero):
+        fm = _guarded_values(expr, env, mid)
+        for j in np.flatnonzero(fm == 0.0):
             m = float(mid[j])
-            fm[j] = expr.evaluate(m)
+            fm[j] = expr.evaluate(m + 0.25 * (float(bl[j]) - float(al[j])) * 1e-3)
             if fm[j] == 0.0:
-                fm[j] = expr.evaluate(m + 0.25 * (float(bl[j]) - float(al[j])) * 1e-3)
-                if fm[j] == 0.0:
-                    al[j] = bl[j] = m
+                al[j] = bl[j] = m
         same = (fm > 0) == up[live]
         a[live] = np.where(same, mid, al)
         b[live] = np.where(same, bl, mid)
     return 0.5 * (a + b)
 
 
-def _isolate_bounded(lo: float, hi: float, expr: Expression) -> list[SignRun]:
-    n = _sample_count(lo, hi, expr)
-    xs = np.linspace(lo, hi, n + 1)
+def _guarded_values(expr: Expression, env: Expression, xs: np.ndarray) -> np.ndarray:
+    """`expr.evaluate_array(xs)`, with `evaluate` at every point where the
+    array value is within `_SIGN_GUARD` times the envelope `env` of zero
+    (or not a number), so the sign of each value is the sign `evaluate`
+    gives."""
+    import numpy as np
+
+    vals = expr.evaluate_array(xs)
+    for j in np.flatnonzero(~(np.abs(vals) > _SIGN_GUARD * env.evaluate_array(xs))):
+        vals[j] = expr.evaluate(float(xs[j]))
+    return vals
+
+
+def _scalar_brackets(expr: Expression, lo: float, hi: float, n: int):
+    """The sign-change brackets (a, b, f(a)) of expr on n equal steps of
+    [lo, hi], and the sign of the first sample; each point is sampled
+    with `evaluate`."""
     step = (hi - lo) / n
     # keep sample points strictly interior: endpoint zeros (sin at 0, a
-    # bisected boundary) would otherwise produce spurious zero signs
+    # bisected boundary) would otherwise produce spurious zero signs; a
+    # sample that is exactly zero moves 0.37 of a step to the right
+    xs = [lo + step * 1e-9] + [i * step + lo for i in range(1, n)] + [hi - step * 1e-9]
+    vals = []
+    for j, x in enumerate(xs):
+        v = expr.evaluate(x)
+        if v == 0.0:
+            xs[j] = x = x + step * 0.37
+            v = expr.evaluate(x)
+            if v == 0.0:
+                raise _zero_on_grid(lo, hi)
+        vals.append(v)
+    flips = [i for i in range(n) if (vals[i] > 0) != (vals[i + 1] > 0)]
+    return ([xs[i] for i in flips], [xs[i + 1] for i in flips], [vals[i] for i in flips],
+            1 if vals[0] > 0 else -1)
+
+
+def _array_brackets(expr: Expression, lo: float, hi: float, n: int):
+    """`_scalar_brackets` with the grid in one numpy array: the same
+    points (`linspace` computes i * step + lo), and through
+    `_guarded_values` the same signs."""
+    import numpy as np
+
+    step = (hi - lo) / n
+    env = expr.envelope()
+    xs = np.linspace(lo, hi, n + 1)
     xs[0] = lo + step * 1e-9
     xs[-1] = hi - step * 1e-9
-    vals = expr.evaluate_array(xs)
+    vals = _guarded_values(expr, env, xs)
     zero = vals == 0.0
-    if np.any(zero):
-        xs = xs.copy()
+    if zero.any():
         xs[zero] += step * 0.37
-        vals = expr.evaluate_array(xs)
-        if np.any(vals == 0.0):
-            raise SignChangeIsolationFailure(
-                f"density evaluates to exactly zero on a sample grid in [{lo}, {hi}]"
-            )
-    signs = np.sign(vals).astype(int)
-    flips = np.flatnonzero(signs[1:] != signs[:-1])
-    if len(flips) < ARRAY_BISECT_MIN:
-        cuts = [_bisect_root(expr, float(xs[i]), float(xs[i + 1]), float(vals[i]))
-                for i in flips]
+        vals[zero] = _guarded_values(expr, env, xs[zero])
+        if (vals == 0.0).any():
+            raise _zero_on_grid(lo, hi)
+    up = vals > 0
+    flips = np.flatnonzero(up[1:] != up[:-1])
+    return xs[flips], xs[flips + 1], vals[flips], 1 if up[0] else -1
+
+
+def _zero_on_grid(lo: float, hi: float) -> SignChangeIsolationFailure:
+    return SignChangeIsolationFailure(
+        f"density evaluates to exactly zero on a sample grid in [{lo}, {hi}]")
+
+
+def _isolate_bounded(lo: float, hi: float, expr: Expression) -> list[SignRun]:
+    n = _sample_count(lo, hi, expr)
+    # a small pass keeps a process that has not loaded numpy free of it
+    # (see the module docstring); a blocked import (None) counts as not loaded
+    if n <= BASELINE_SAMPLES and sys.modules.get("numpy") is None:
+        a, b, fa, first = _scalar_brackets(expr, lo, hi, n)
     else:
-        cuts = _bisect_roots(expr, xs[flips], xs[flips + 1], vals[flips]).tolist()
+        a, b, fa, first = _array_brackets(expr, lo, hi, n)
+    if len(a) < ARRAY_BISECT_MIN:
+        cuts = [_bisect_root(expr, float(u), float(v), float(f)) for u, v, f in zip(a, b, fa)]
+    else:
+        cuts = _bisect_roots(expr, a, b, fa).tolist()
     edges = [lo] + cuts + [hi]
     runs: list[SignRun] = []
     for i, (u, v) in enumerate(zip(edges, edges[1:])):
         if v <= u:
             continue
-        runs.append(SignRun(u, v, int(signs[0] if i == 0 else -runs[-1].sign)))
+        runs.append(SignRun(u, v, first if i == 0 else -runs[-1].sign))
     return runs
 
 

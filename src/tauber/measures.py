@@ -36,9 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from typing import Any, Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ._integrals import power_exp_integral
 from .errors import (
@@ -46,6 +44,9 @@ from .errors import (
     SignChangeIsolationFailure,
     UnrepresentableDensity,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Atom",
@@ -240,6 +241,16 @@ class Expression:
         return math.fsum(t.value(0.0) for t in self.terms if t.power >= 0)
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
+        """`evaluate` at every point of xs, in numpy.
+
+        numpy is imported here, on the first call, so that importing the
+        package does not load it.  The terms are summed in order, not
+        with `math.fsum`, so a value can differ from `evaluate`'s in the
+        last bits; a caller that decides a sign near zero re-checks it
+        with `evaluate` (`decomposition._guarded_values`).
+        """
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         out = np.zeros_like(xs)
         # terms are sorted by power, so a negative power shows first

@@ -560,7 +560,8 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     if not isinstance(checks, list) or not checks:
         raise ScenarioValidationError("checks", "must be a nonempty list")
     defaults = _coerce(_GRID_PARAMS, config, "config")
-    scn = Scenario(name, measures, sequences, checks, config)
+    # the config as the checks run it: "n_max": 1e4 is the integer 10000
+    scn = Scenario(name, measures, sequences, checks, {k: defaults[k] for k in config})
     for key, obj in measures.items():
         scn._measures[key] = SignedMeasure.from_dict(obj, _fixed_leaf, f"measures.{key}")
     for key, spec in sequences.items():
@@ -684,7 +685,7 @@ def _json_safe(obj: Any) -> Any:
 def _execute_one(chk: _Check, n_max: int | None, tol: float | None) -> CheckOutcome:
     params = dict(chk.params)
     if n_max is not None and "n_max" in params:
-        params["n_max"] = int(n_max)
+        params["n_max"] = n_max
     if tol is not None and "tol" in params:
         params["tol"] = float(tol)
     started = time.perf_counter()
@@ -711,10 +712,13 @@ def run_scenario(
 
     n_max overrides the index ceiling of every check that walks an index
     grid; tol overrides the `tol` parameter of every check that has one.
+    An n_max that `index_grid` refuses (below 1, infinite or not an
+    integer) raises its ValueError before any check runs.
     """
     config = dict(scn.config)
     if n_max is not None:
-        config["n_max"] = int(n_max)
+        index_grid(n_max)
+        config["n_max"] = n_max = int(n_max)
     outcomes = [_execute_one(chk, n_max, tol) for chk in scn._checks]
     return RunReport(scn.name, outcomes, config)
 

@@ -34,8 +34,6 @@ from functools import partial
 from statistics import median
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .convergence import (
     DEFAULT_BAND,
     DEFAULT_H_GRID,
@@ -48,6 +46,8 @@ from .convergence import (
     laplace_convergence_test,
     right_equicontinuity_test,
     tail_start,
+    _mean,
+    _slope,
     _sweep,
     _worst,
 )
@@ -131,7 +131,7 @@ def _estimate(
     log-log regression slope of ys on xs as the cross-check."""
     rho = float(median(per_ratio.values()))
     dispersion = max(abs(v - rho) for v in per_ratio.values())
-    slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0]) if len(xs) >= 2 else math.nan
+    slope = _slope([math.log(x) for x in xs], [math.log(y) for y in ys])
     return RVEstimate(rho, dispersion, per_ratio, sign * slope, method)
 
 
@@ -194,7 +194,7 @@ def rv_index_from_distribution(
                     f"distribution ratio at {x} * {t} is not positive"
                 )
             ests.append(math.log(r) / math.log(x))
-        per_ratio[x] = float(np.mean(ests))
+        per_ratio[x] = _mean(ests)
     return _estimate(per_ratio, window, [abs(v) for v in Fs.values()], 1.0, "distribution")
 
 
@@ -373,7 +373,7 @@ def asymptotic_ratio(
             window_vals.append(ratio)
     if not window_vals:
         raise ZeroTransform("distribution function vanishes on the whole window")
-    mean_ratio = float(np.mean(window_vals))
+    mean_ratio = _mean(window_vals)
     stat = abs(mean_ratio - 1.0)
     notes = ()
     if skipped:

@@ -109,13 +109,13 @@ def test_tail_estimate_flags_growth():
 
 def test_only_bounded_laplace_fits_a_slope(monkeypatch):
     fits = []
-    polyfit = convergence.np.polyfit
+    slope = convergence._slope
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         fits.append(args)
-        return polyfit(*args, **kwargs)
+        return slope(*args)
 
-    monkeypatch.setattr(convergence.np, "polyfit", counted)
+    monkeypatch.setattr(convergence, "_slope", counted)
     seq = MeasureSequence(rule=mollified_delta_rule(),
                           limit=SignedMeasure.point_mass(1.0))
     laplace_convergence_test(seq, LAMBDAS, n_max=1000)
@@ -124,6 +124,15 @@ def test_only_bounded_laplace_fits_a_slope(monkeypatch):
     assert fits == []
     bounded_laplace_test(seq, LAMBDAS, n_max=1000)
     assert len(fits) == len(LAMBDAS)
+
+
+def test_fits_are_fsum_closed_forms():
+    # numpy's pairwise mean of these is 0.0: 1e16 + 1.0 rounds to 1e16
+    assert convergence._mean([1e16, 1.0, -1e16]) == 1.0 / 3.0
+    assert convergence._mean([0.1] * 10) == 0.1
+    assert convergence._mean([1.0, math.inf]) == math.inf
+    assert convergence._slope([0.0, 1.0, 2.0, 3.0], [1.0, 4.0, 7.0, 10.0]) == 3.0
+    assert math.isnan(convergence._slope([2.0], [5.0]))
 
 
 def test_a_pass_names_no_witness():

@@ -4,6 +4,7 @@ periodic-tail structure detector, and the per-segment memo behind them."""
 import gc
 import math
 import pathlib
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from tauber import (
     total_variation,
 )
 from tauber import decomposition, transforms
-from tauber.decomposition import _bisect_root, _bisect_roots
+from tauber.decomposition import ARRAY_BISECT_MIN, _bisect_root, _bisect_roots
 from tests.conftest import N_PROPERTY_CASES, random_measure
 
 PI = math.pi
@@ -145,6 +146,8 @@ class ScriptedLine:
     on both paths, and at `flipped` points the array path returns the
     opposite sign, as a last-bit difference between the two sums can."""
 
+    max_freq = 0.0  # what `_sample_count` reads
+
     def __init__(self, root, zeros=(), flipped=()):
         self.root, self.zeros, self.flipped = root, set(zeros), set(flipped)
 
@@ -193,6 +196,95 @@ def test_sign_runs_agree_on_both_sides_of_the_bracket_constant(monkeypatch, rng)
             continue
         monkeypatch.setattr(decomposition, "ARRAY_BISECT_MIN", 10**9)
         assert sign_runs(DensitySegment(seg.lo, seg.hi, seg.density)) == batched
+
+
+# ---------------------------------------------------------------------------
+# the scalar and numpy samplers: one grid, the same signs
+# ---------------------------------------------------------------------------
+
+SCALAR, ARRAY = decomposition._scalar_brackets, decomposition._array_brackets
+
+
+def runs_by_sampler(lo, hi, expr):
+    """`_isolate_bounded` on [lo, hi] with each sampler: the numpy one is
+    the choice whenever numpy is loaded, as it is here, so the scalar one
+    is put in its place."""
+    runs = []
+    for sampler in (SCALAR, ARRAY):
+        with patch.object(decomposition, "_array_brackets", sampler):
+            runs.append(decomposition._isolate_bounded(lo, hi, expr))
+    return runs
+
+
+def test_the_samplers_give_the_same_grid_and_signs():
+    expr = cosine_density(0.3, 1.0, 7.0, 0.4)
+    for lo, hi, n in ((0.0, 10.0, 1000), (3.7, 3000.0, 33_400)):
+        scalar, array = SCALAR(expr, lo, hi, n), ARRAY(expr, lo, hi, n)
+        assert len(scalar[0]) > 10
+        assert scalar[:2] == tuple(x.tolist() for x in array[:2])  # the brackets
+        assert [f > 0 for f in scalar[2]] == (array[2] > 0).tolist()
+        assert scalar[3] == array[3]
+
+
+def test_the_samplers_give_the_same_sign_runs_on_the_corpus(monkeypatch):
+    from tests.test_golden_reports import golden_runs
+
+    passes = []
+    isolate = decomposition._isolate_bounded
+
+    def recorded(lo, hi, expr):
+        passes.append((lo, hi, expr))
+        return isolate(lo, hi, expr)
+
+    monkeypatch.setattr(decomposition, "_isolate_bounded", recorded)
+    for _, source, overrides in golden_runs().values():
+        run_scenario(load_scenario(source), **overrides)
+    monkeypatch.setattr(decomposition, "_isolate_bounded", isolate)
+    assert len(passes) > 100
+    assert any(len(isolate(*p)) > ARRAY_BISECT_MIN for p in passes)
+    for lo, hi, expr in passes:
+        scalar, array = runs_by_sampler(lo, hi, expr)
+        assert scalar == array, (lo, hi, expr)
+
+
+@given(
+    c_ratio=st.floats(-0.99, 0.99),
+    amp=st.floats(0.1, 10.0),
+    freq=st.floats(0.05, 50.0),
+    lo=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+    periods=st.one_of(st.floats(1.0, 100.0), st.floats(100.0, 400.0)),
+    at=st.floats(0.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_samplers_give_the_same_sign_runs_with_a_root_on_a_sample(
+        c_ratio, amp, freq, lo, periods, at):
+    # c + A cos(b x + phi), with phi putting a root on the sample point
+    # x_i = i * step + lo, where the two sums round to opposite signs or to 0
+    hi = lo + periods * 2 * PI / freq
+    n = decomposition._sample_count(lo, hi, cosine_density(0.0, 1.0, freq, 0.0))
+    x_i = int(1 + at * (n - 2)) * ((hi - lo) / n) + lo
+    phase = math.acos(-c_ratio) - freq * x_i
+    expr = cosine_density(c_ratio, amp, freq, phase)
+    scalar, array = runs_by_sampler(lo, hi, expr)
+    assert scalar == array
+
+
+def test_the_samplers_agree_where_the_array_sum_flips_a_sign():
+    # at the sample point 0.5 the array path says +1e-13 where `evaluate`
+    # says -1e-13; without the guard the root's bracket would differ
+    x_i = 500 * (1.0 / 1000)
+    scalar, array = runs_by_sampler(0.0, 1.0, ScriptedLine(x_i + 1e-13, flipped=[x_i]))
+    assert scalar == array and len(scalar) == 2
+
+
+def test_the_samplers_nudge_an_exact_zero_alike():
+    # x - x_i is exactly 0.0 at the sample point x_i on both sides
+    lo, hi = 0.3, 7.1
+    x_i = 417 * ((hi - lo) / 1000) + lo
+    expr = Expression((Term(1.0, 1.0), Term(-x_i)))
+    assert expr.evaluate(x_i) == 0.0 and expr.evaluate_array(np.array([x_i]))[0] == 0.0
+    scalar, array = runs_by_sampler(lo, hi, expr)
+    assert scalar == array and [r.sign for r in scalar] == [-1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,22 @@ that each moved number is now closer to an exact reference.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from tauber import TransformValue, convergence, emit, load_scenario, measures, run_scenario
+from tauber import (
+    TransformValue,
+    convergence,
+    emit,
+    load_scenario,
+    measures,
+    run_scenario,
+    tauberian,
+)
+from tauber.scenarios import _slug
 from tests.conftest import mpmath_abs_transform
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -127,15 +138,21 @@ def sweep_source(path: pathlib.Path):
     return doc
 
 
+def golden_runs() -> dict[str, tuple]:
+    """The run behind each golden JSON file, by its path under `GOLDEN`:
+    (golden directory, scenario source, `run_scenario` overrides)."""
+    runs = [(GOLDEN, path, {}) for path in SCENARIOS]
+    runs += [(GOLDEN / "sweep", sweep_source(path), {}) for path in SCENARIOS + STRESS]
+    runs += [(GOLDEN / "kinds", EVERY_KIND, {}),
+             (GOLDEN / "overrides", EVERY_KIND, {"n_max": 32, "tol": 0.5})]
+    return {(out / f"{_slug(load_scenario(source).name)}.json").relative_to(GOLDEN).as_posix():
+            (out, source, overrides) for out, source, overrides in runs}
+
+
 def write_reports() -> None:
     """Rewrite every golden file from the current code."""
-    for path in SCENARIOS:
-        emit(run_scenario(load_scenario(path)), GOLDEN, "both")
-    for path in SCENARIOS + STRESS:
-        emit(run_scenario(load_scenario(sweep_source(path))), GOLDEN / "sweep", "both")
-    emit(run_scenario(load_scenario(EVERY_KIND)), GOLDEN / "kinds", "both")
-    emit(run_scenario(load_scenario(EVERY_KIND), n_max=32, tol=0.5),
-         GOLDEN / "overrides", "both")
+    for out, source, overrides in golden_runs().values():
+        emit(run_scenario(load_scenario(source), **overrides), out, "both")
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
@@ -216,6 +233,53 @@ def test_rewritten_kernel_numbers_moved_toward_exact_kernel(name, source, overri
     for key, old in KERNEL_NUMBERS[name].items():
         new = golden[key]
         assert new != old and abs(new - reference[key]) < abs(old - reference[key]), key
+
+
+# The numbers the fits moved when numpy's polyfit and mean gave way to the
+# fsum forms of `convergence._slope` and `convergence._mean`, with their
+# numpy values, by golden file and JSON path.
+NUMPY_FIT_NUMBERS = json.loads((ROOT / "tests" / "numpy_fit_numbers.json").read_text())
+float_mean, float_slope = convergence._mean, convergence._slope
+
+
+def exact_mean(values):
+    """The mean of the floats, exact in rationals and rounded once."""
+    if not all(map(math.isfinite, values)):
+        return float_mean(values)
+    return float(sum(map(Fraction, values)) / len(values))
+
+
+def exact_slope(xs, ys):
+    """The least-squares slope of the floats, exact in rationals and
+    rounded once."""
+    if not all(map(math.isfinite, [*xs, *ys])):
+        return float_slope(xs, ys)
+    xs, ys = list(map(Fraction, xs)), list(map(Fraction, ys))
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    spread = sum((x - x_bar) ** 2 for x in xs)
+    if not spread:
+        return math.nan
+    return float(sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / spread)
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FIT_NUMBERS))
+def test_rewritten_fit_numbers_moved_toward_exact_fits(name, monkeypatch):
+    # the report whose fits are exact, from the same float inputs, is the
+    # reference: the same statuses and every other non-float leaf, and
+    # each number the rewrite moved is now at least as close to it
+    _, source, overrides = golden_runs()[name]
+    for module in (convergence, tauberian):
+        monkeypatch.setattr(module, "_mean", exact_mean)
+        monkeypatch.setattr(module, "_slope", exact_slope)
+    golden = leaves(json.loads((GOLDEN / name).read_text()))
+    reference = leaves(json.loads(run_scenario(load_scenario(source), **overrides).to_json()))
+    assert golden.keys() == reference.keys()
+    for key, value in golden.items():
+        if not isinstance(value, float):
+            assert value == reference[key], key
+    for key, old in NUMPY_FIT_NUMBERS[name].items():
+        new, exact = Fraction(golden[key]), Fraction(reference[key])
+        assert new != old and abs(new - exact) <= abs(Fraction(old) - exact), key
 
 
 if __name__ == "__main__":

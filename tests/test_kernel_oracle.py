@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 from tauber import (DivergentTransform, NonIntegrableTail, SignedMeasure, Term,
                     laplace_transform)
-from tauber._integrals import _NARROW, _SERIES_CUTOFF, power_exp_integral
+from tauber import _integrals
+from tauber._integrals import _NARROW, _SERIES_CUTOFF, _upper_gamma_fraction, power_exp_integral
 
 mp = pytest.importorskip("mpmath")
 
@@ -81,6 +82,23 @@ def test_float_overflow_is_a_divergent_transform():
     with pytest.raises(DivergentTransform):
         laplace_transform(m, -0.5)
     assert_matches_oracle(0.5, -0.5, 100.0, 3000.0)
+
+
+def test_upper_gamma_fraction_stops_at_a_huge_argument():
+    # every Lentz factor here is b * (1/b) rounded, 1 - 2^-53, which a stop
+    # test of 1e-16 never accepted: 100,000 steps per call
+    z = 1.2226954283185657e300
+    assert _upper_gamma_fraction(3.7, z) == pytest.approx(1.0 / z, rel=1e-15)
+    # s * lo overflowed: the fraction's limit, 0, not NaN
+    assert _upper_gamma_fraction(3.7, math.inf) == 0.0
+    # e^(-1e308) underflows; the NaN fraction made this DivergentTransform
+    assert power_exp_integral(2.7, 1e308, 0.0, 1.0, 2.0) == 0.0
+
+
+def test_upper_gamma_fraction_raises_at_its_step_cap(monkeypatch):
+    monkeypatch.setattr(_integrals, "_FRACTION_STEPS", 2)
+    with pytest.raises(DivergentTransform, match="did not converge in 2 steps"):
+        _upper_gamma_fraction(3.7, 5.0)
 
 
 @pytest.mark.parametrize("term", [

@@ -58,13 +58,19 @@ print(json.dumps({
 """
 
 
-def run_without_scipy(code: str) -> dict:
+def run_child(code: str) -> dict:
+    """Run `code` in a child Python with the package on its path; the JSON
+    object it prints last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY + code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_without_scipy(code: str) -> dict:
+    return run_child(NO_SCIPY + code)
 
 
 def test_bundled_cli_runs_do_not_import_scipy(tmp_path):

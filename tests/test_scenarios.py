@@ -288,6 +288,22 @@ def test_config_overrides_from_caller():
     assert rep.exit_code == 0
 
 
+@pytest.mark.parametrize("n_max", [10.5, 0, math.inf])
+def test_run_scenario_refuses_an_n_max_override_index_grid_refuses(n_max):
+    # 10.5 used to run, and be reported, as 10
+    with pytest.raises(ValueError, match="n_max must be a finite integer"):
+        run_scenario(load_scenario(tiny_scenario()), n_max=n_max)
+
+
+def test_the_report_config_is_the_coerced_config():
+    scn = load_scenario(tiny_scenario(config={"n_max": 1e4, "grid_ratio": 2}))
+    config = run_scenario(scn).to_dict()["config"]
+    assert config == {"n_max": 10000, "grid_ratio": 2.0}
+    assert isinstance(config["n_max"], int) and isinstance(config["grid_ratio"], float)
+    overridden = run_scenario(scn, n_max=64.0).to_dict()["config"]["n_max"]
+    assert overridden == 64 and isinstance(overridden, int)
+
+
 # ---------------------------------------------------------------------------
 # emission: JSON bytes, CSV shape, inf/nan handling
 # ---------------------------------------------------------------------------

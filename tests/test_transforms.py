@@ -16,6 +16,7 @@ Both match this package's closed-form periodic tier to ~2e-16 relative.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from tauber import (
     SignChangeIsolationFailure,
     SignedMeasure,
     Term,
+    TransformValue,
     abs_transform,
     envelope_transform,
     laplace_transform,
@@ -213,6 +215,16 @@ def test_abs_transform_raises_when_the_truncation_window_is_too_long_to_isolate(
     assert tauber.decomposition.periodic_tail_structure(seg) is None
     with pytest.raises(SignChangeIsolationFailure, match="too long"):
         abs_transform(m, 0.01)
+
+
+def test_abs_transform_at_a_huge_argument_takes_bounded_time():
+    # the non-integer term's continued fraction ran its 100,000-step cap on
+    # each of ~32,000 sign runs: 90 s for a transform that underflows to 0
+    m = SignedMeasure.from_density(
+        (Term(-0.2, 2.7), Term(-1.0, 5.0, 0.0, "cos", 50.0)), lo=1.0, hi=1001.0)
+    started = time.perf_counter()
+    assert abs_transform(m, 1e300) == TransformValue(0.0, 0.0)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_abs_transform_infinite_for_undamped_tail_at_zero():
