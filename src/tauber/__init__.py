@@ -61,7 +61,6 @@ from .scenarios import (
     run_scenario,
 )
 from .tauberian import (
-    KaramataConfig,
     RVEstimate,
     asymptotic_ratio,
     gamma_limit_measure,
@@ -104,7 +103,7 @@ __all__ = [
     "distribution_convergence_test", "continuity_point_test",
     "part_domination_test", "continuity_forward", "continuity_backward",
     # regular variation
-    "RVEstimate", "KaramataConfig", "rv_index_from_transform",
+    "RVEstimate", "rv_index_from_transform",
     "rv_index_from_distribution", "rv_report", "sign_ratio_condition",
     "window_increment_condition", "asymptotic_ratio", "gamma_limit_measure",
     "rescaled_family", "slow_variation_diagnostic", "karamata_pipeline",

@@ -517,16 +517,16 @@ def distribution_convergence_test(
     ratio: float = DEFAULT_RATIO,
     tol: float = 0.02,
     band: float = DEFAULT_BAND,
-    exclude: Sequence[float] = (),
+    use_exceptional: bool = False,
 ) -> VerdictReport:
     """Pointwise convergence F_n(x) -> F(x) on a point grid.
 
-    Points in `exclude` (an exceptional set, e.g. limit atom locations) are
-    removed first and noted; the verdict is then a "grid almost everywhere"
-    statement.
+    With `use_exceptional`, the grid points in the sequence's exceptional
+    set (e.g. the limit's atom locations) are removed first and noted; the
+    verdict is then a "grid almost everywhere" statement.
     """
     pts = [float(p) for p in points]
-    excluded = sorted({float(e) for e in exclude} & set(pts))
+    excluded = sorted({float(e) for e in seq.exceptional} & set(pts)) if use_exceptional else []
     pts = [p for p in pts if p not in set(excluded)]
     if not pts:
         raise ValueError("no evaluation points remain after exclusions")
@@ -698,7 +698,6 @@ def continuity_forward(
         ))
     conclusion = distribution_convergence_test(
         seq, [point], n_max=n_max, ratio=ratio, tol=F_tol, band=band,
-        exclude=(),
     )
     return _implication_report("continuity_forward", hyps, conclusion)
 
@@ -718,7 +717,7 @@ def continuity_backward(
     hyps = [
         distribution_convergence_test(
             seq, points, n_max=n_max, ratio=ratio, tol=F_tol, band=band,
-            exclude=seq.exceptional,
+            use_exceptional=True,
         ),
         bounded_laplace_test(seq, lambdas, n_max=n_max, ratio=ratio, band=band),
     ]

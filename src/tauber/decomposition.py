@@ -167,14 +167,8 @@ def _bisect_root(expr: Expression, a: float, b: float, fa: float) -> float:
         if b - a <= BISECT_TOL * max(1.0, abs(a)):
             break
         mid = 0.5 * (a + b)
-        fm = expr.evaluate(mid)
-        if fm == 0.0:
-            # nudge deterministically off the exact zero
-            mid_adj = mid + 0.25 * (b - a) * 1e-3
-            fm = expr.evaluate(mid_adj)
-            if fm == 0.0:
-                return mid
-        if (fm > 0) == (fa > 0):
+        # an exact zero counts as non-positive, as in the samplers
+        if (expr.evaluate(mid) > 0) == (fa > 0):
             a = mid
         else:
             b = mid
@@ -187,10 +181,8 @@ def _bisect_roots(expr: Expression, a, b, fa) -> np.ndarray:
     Each step evaluates the midpoints of all live brackets in one
     `_guarded_values` call, and every bracket follows the scalar rules:
     the same stop test, step cap and result.  A midpoint whose sign the
-    array sum leaves in doubt takes its `evaluate` value and the scalar
-    branch, exact-zero nudge included; the roots equal `_bisect_root`'s
-    bit for bit.  A double zero sets a = b = mid, which `0.5 * (a + b)`
-    returns.
+    array sum leaves in doubt takes its `evaluate` value, so the roots
+    equal `_bisect_root`'s bit for bit.
     """
     import numpy as np
 
@@ -204,13 +196,7 @@ def _bisect_roots(expr: Expression, a, b, fa) -> np.ndarray:
             break
         al, bl = a[live], b[live]
         mid = 0.5 * (al + bl)
-        fm = _guarded_values(expr, env, mid)
-        for j in np.flatnonzero(fm == 0.0):
-            m = float(mid[j])
-            fm[j] = expr.evaluate(m + 0.25 * (float(bl[j]) - float(al[j])) * 1e-3)
-            if fm[j] == 0.0:
-                al[j] = bl[j] = m
-        same = (fm > 0) == up[live]
+        same = (_guarded_values(expr, env, mid) > 0) == up[live]
         a[live] = np.where(same, mid, al)
         b[live] = np.where(same, bl, mid)
     return 0.5 * (a + b)

@@ -536,14 +536,18 @@ class SignedMeasure:
         if c == 0:
             raise ValueError("normaliser must be nonzero")
         atoms = tuple(Atom(a.location / t, a.weight / c) for a in self.atoms)
-        segments = tuple(
-            DensitySegment(s.lo / t, s.hi / t, s.density._rewritten(
-                coefficient=lambda tm: tm.coefficient * t ** (tm.power + 1) / c,
-                decay=lambda tm: tm.decay * t,
-                freq=lambda tm: tm.freq * t,
-            ))
-            for s in self.segments
-        )
+        try:
+            segments = tuple(
+                DensitySegment(s.lo / t, s.hi / t, s.density._rewritten(
+                    coefficient=lambda tm: tm.coefficient * t ** (tm.power + 1) / c,
+                    decay=lambda tm: tm.decay * t,
+                    freq=lambda tm: tm.freq * t,
+                ))
+                for s in self.segments
+            )
+        except OverflowError as exc:  # t ** (power + 1) past the float range
+            raise UnrepresentableDensity(
+                f"scaling by {t} overflows a coefficient: {exc}") from None
         return SignedMeasure(atoms, segments)
 
     def integrated_tail(self, start: float) -> "SignedMeasure":

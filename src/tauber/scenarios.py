@@ -45,7 +45,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache, partial
 from pathlib import Path
 from types import CodeType
@@ -78,7 +78,6 @@ from .tauberian import (
     DEFAULT_RATIO_POINTS,
     DEFAULT_T_GRID,
     DEFAULT_TAU_GRID,
-    KaramataConfig,
     asymptotic_ratio,
     karamata_pipeline,
     rv_index_from_distribution,
@@ -229,6 +228,8 @@ def _direction(v: Any) -> str:
 # differ); a `*_grid` parameter is a grid, and any other a JSON number
 _COERCIONS = {
     **dict.fromkeys(("lambdas", "points", "centers", "ratio_points"), _floats),
+    **dict.fromkeys(("karamata_pipeline.lambdas", "karamata_pipeline.ratio_points",
+                     "karamata_pipeline.eval_points"), _grid),
     **dict.fromkeys(("include_abs", "skip_equicontinuity", "use_exceptional"), _bool),
     "eps": _float_or_floats,
     "direction": _direction,
@@ -266,12 +267,6 @@ _GRID_PARAMS = {  # index_grid refuses inf, an n_max below 1 and a ratio not abo
     "n_max": (_checked(_int, index_grid), DEFAULT_N_MAX),
     "grid_ratio": (_checked(_number, lambda r: index_grid(2, r)), DEFAULT_RATIO),
     "band": (_number, DEFAULT_BAND),
-}
-
-# every KaramataConfig field but the grid ones, coerced by its default's type
-_KARAMATA_PARAMS = {
-    f.name: (_grid if isinstance(f.default, tuple) else _number, f.default)
-    for f in fields(KaramataConfig) if f.name not in _GRID_PARAMS
 }
 
 
@@ -329,14 +324,6 @@ def _tilt_identity(measure, eps=(0.5, 1.0), lambdas=(0.25, 1.0, 4.0), tol=1e-10)
     )
 
 
-def _distribution_convergence(
-    seq, points, tol=0.02, use_exceptional=False, *, n_max, ratio, band
-) -> VerdictReport:
-    exclude = seq.exceptional if use_exceptional else ()
-    return distribution_convergence_test(
-        seq, points, n_max=n_max, ratio=ratio, tol=tol, band=band, exclude=exclude)
-
-
 def _rv_index_transform(
     measure, declared=None, rho_tol=0.05, tau_grid=DEFAULT_TAU_GRID,
     ratio_points=DEFAULT_RATIO_POINTS,
@@ -367,11 +354,6 @@ def _window_increment(
     return _sweep("window_increment_condition", points, run, "max_small_window_stat")
 
 
-def _karamata_pipeline(measure, direction="psi_to_F", *, n_max, ratio, **cfg) -> VerdictReport:
-    return karamata_pipeline(
-        measure, direction, KaramataConfig(n_max=n_max, grid_ratio=ratio, **cfg))
-
-
 # each check kind and the function that runs it; a kind's parameters are
 # that function's, read by `_kind`
 _CHECKS: dict[str, Callable[..., VerdictReport]] = {
@@ -382,7 +364,7 @@ _CHECKS: dict[str, Callable[..., VerdictReport]] = {
     "vague": vague_test,
     "bounded_laplace": bounded_laplace_test,
     "right_equicontinuity": right_equicontinuity_test,
-    "distribution_convergence": _distribution_convergence,
+    "distribution_convergence": distribution_convergence_test,
     "continuity_point": continuity_point_test,
     "part_domination": part_domination_test,
     "continuity_forward": continuity_forward,
@@ -393,7 +375,7 @@ _CHECKS: dict[str, Callable[..., VerdictReport]] = {
     "window_increment_condition": _window_increment,
     "asymptotic_ratio": asymptotic_ratio,
     "slow_variation": slow_variation_diagnostic,
-    "karamata_pipeline": _karamata_pipeline,
+    "karamata_pipeline": karamata_pipeline,
 }
 
 CHECK_NAMES = tuple(sorted(_CHECKS))
@@ -405,16 +387,15 @@ def _kind(kind: str) -> tuple[str, dict[str, tuple[Callable, Any]]]:
     _REQUIRED)) of a check kind, read off the signature of `_CHECKS[kind]`.
 
     A first parameter `seq` takes a sequence; any other takes a measure,
-    or a sequence's limit.  `**cfg` stands for the fields of
-    KaramataConfig.  A function with `n_max` walks an index grid: its
-    `n_max`, `ratio` and `band` are the keys of `_GRID_PARAMS` instead.
+    or a sequence's limit.  Every later parameter, keyword-only ones
+    included, is a scenario parameter coerced by `_COERCIONS`.  A function
+    with `n_max` walks an index grid: its `n_max`, `ratio` and `band` are
+    the keys of `_GRID_PARAMS` instead, listed last.
     """
     first, *rest = inspect.signature(_CHECKS[kind]).parameters.values()
     params = {}
     for p in rest:
-        if p.kind is p.VAR_KEYWORD:
-            params.update(_KARAMATA_PARAMS)
-        elif p.name not in ("n_max", "ratio", "band"):
+        if p.name not in ("n_max", "ratio", "band"):
             coerce = _grid if p.name.endswith("_grid") else _COERCIONS.get(
                 f"{kind}.{p.name}", _COERCIONS.get(p.name, _number))
             params[p.name] = (coerce, p.default)

@@ -36,7 +36,10 @@ from typing import Iterable, Sequence
 
 from .convergence import (
     DEFAULT_BAND,
+    DEFAULT_EPSILON,
     DEFAULT_H_GRID,
+    DEFAULT_N_MAX,
+    DEFAULT_RATIO,
     MeasureSequence,
     VerdictReport,
     bounded_laplace_test,
@@ -79,7 +82,6 @@ __all__ = [
     "gamma_limit_measure",
     "rescaled_family",
     "slow_variation_diagnostic",
-    "KaramataConfig",
     "karamata_pipeline",
 ]
 
@@ -468,36 +470,30 @@ def slow_variation_diagnostic(
 # -- end-to-end pipelines -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KaramataConfig:
-    """Tolerances and grids for the two pipeline directions."""
-
-    rho: float | None = None                    # declared index, if any
-    tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
-    t_grid: tuple[float, ...] = DEFAULT_T_GRID
-    ratio_points: tuple[float, ...] = DEFAULT_RATIO_POINTS
-    eval_points: tuple[float, ...] = DEFAULT_EVAL_POINTS
-    lambdas: tuple[float, ...] = DEFAULT_EVAL_POINTS
-    h_grid: tuple[float, ...] = DEFAULT_H_GRID
-    n_max: int = 10_000
-    grid_ratio: float = 2.0
-    rho_tol: float = 0.05
-    floor: float = 0.01
-    ceiling: float = 0.05
-    psi_tol: float = 1e-5
-    F_tol: float = 0.02
-    ratio_tol: float = 0.02
-    sv_tol: float = 0.01
-    epsilon: float = 0.05
-    band: float = DEFAULT_BAND
-    integrated_tail_start: float = 10.0
-    window_decades: float = 1.0
-
-
 def karamata_pipeline(
     measure: SignedMeasure,
     direction: str = "psi_to_F",
-    cfg: KaramataConfig | None = None,
+    *,
+    rho: float | None = None,
+    tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
+    t_grid: Sequence[float] = DEFAULT_T_GRID,
+    ratio_points: Sequence[float] = DEFAULT_RATIO_POINTS,
+    eval_points: Sequence[float] = DEFAULT_EVAL_POINTS,
+    lambdas: Sequence[float] = DEFAULT_EVAL_POINTS,
+    h_grid: Sequence[float] = DEFAULT_H_GRID,
+    n_max: int = DEFAULT_N_MAX,
+    ratio: float = DEFAULT_RATIO,
+    rho_tol: float = 0.05,
+    floor: float = 0.01,
+    ceiling: float = 0.05,
+    psi_tol: float = 1e-5,
+    F_tol: float = 0.02,
+    ratio_tol: float = 0.02,
+    sv_tol: float = 0.01,
+    epsilon: float = DEFAULT_EPSILON,
+    band: float = DEFAULT_BAND,
+    integrated_tail_start: float = 10.0,
+    window_decades: float = 1.0,
 ) -> VerdictReport:
     """Run one conversion direction end to end and aggregate verdicts.
 
@@ -509,42 +505,37 @@ def karamata_pipeline(
     direction "F_to_psi": index from the distribution side, nonnegativity
     of the integrated-tail measure, its index shift by one, then the
     asymptotic ratio and transform-side index agreement.
+
+    `rho` is the declared index, if any; the checks run at it, or at the
+    first estimate when none is declared.  The family's checks walk the
+    index grid up to `n_max` at `ratio`.
     """
-    cfg = cfg or KaramataConfig()
     if direction not in ("psi_to_F", "F_to_psi"):
         raise ValueError(f"unknown direction {direction!r}")
     children: list[VerdictReport] = []
-    index_report = partial(rv_report, rho_tol=cfg.rho_tol, band=cfg.band)
-    index_from_F = partial(rv_index_from_distribution, ratio_points=cfg.ratio_points,
-                           t_grid=cfg.t_grid, window_decades=cfg.window_decades)
+    index_report = partial(rv_report, rho_tol=rho_tol, band=band)
+    index_from_F = partial(rv_index_from_distribution, ratio_points=ratio_points,
+                           t_grid=t_grid, window_decades=window_decades)
+    walk = {"n_max": n_max, "ratio": ratio, "band": band}
     if direction == "psi_to_F":
-        est = rv_index_from_transform(measure, cfg.ratio_points, cfg.tau_grid)
-        rho = cfg.rho if cfg.rho is not None else est.index
-        children.append(index_report(est, cfg.rho))
-        children.append(sign_ratio_condition(measure, cfg.tau_grid, cfg.floor,
-                                             band=cfg.band))
+        est = rv_index_from_transform(measure, ratio_points, tau_grid)
+        index = rho if rho is not None else est.index
+        children.append(index_report(est, rho))
+        children.append(sign_ratio_condition(measure, tau_grid, floor, band=band))
         children.append(_sweep(
-            "window_increment_condition", cfg.eval_points,
+            "window_increment_condition", eval_points,
             lambda x: window_increment_condition(
-                measure, x, h_grid=cfg.h_grid, tau_grid=cfg.tau_grid,
-                ceiling=cfg.ceiling, band=cfg.band,
+                measure, x, h_grid=h_grid, tau_grid=tau_grid, ceiling=ceiling, band=band,
             ),
             "max_small_window_stat",
         ))
-        family = rescaled_family(measure, rho=rho)
-        children.append(laplace_convergence_test(
-            family, cfg.lambdas, n_max=cfg.n_max, ratio=cfg.grid_ratio,
-            tol=cfg.psi_tol, band=cfg.band,
-        ))
-        children.append(bounded_laplace_test(
-            family, cfg.lambdas, n_max=cfg.n_max, ratio=cfg.grid_ratio,
-            band=cfg.band,
-        ))
+        family = rescaled_family(measure, rho=index)
+        children.append(laplace_convergence_test(family, lambdas, tol=psi_tol, **walk))
+        children.append(bounded_laplace_test(family, lambdas, **walk))
         equicontinuity = _sweep(
-            "rescaled_equicontinuity", cfg.eval_points,
+            "rescaled_equicontinuity", eval_points,
             lambda x: right_equicontinuity_test(
-                family, x, epsilon=cfg.epsilon, h_grid=cfg.h_grid,
-                n_max=cfg.n_max, ratio=cfg.grid_ratio, band=cfg.band,
+                family, x, epsilon=epsilon, h_grid=h_grid, **walk,
             ),
             "best_window_stat",
         )
@@ -552,28 +543,26 @@ def karamata_pipeline(
             "max_best_window_stat": equicontinuity.statistics["best_window_stat"],
         }))
         children.append(distribution_convergence_test(
-            family, cfg.eval_points, n_max=cfg.n_max, ratio=cfg.grid_ratio,
-            tol=cfg.F_tol, band=cfg.band, exclude=family.exceptional,
+            family, eval_points, tol=F_tol, use_exceptional=True, **walk,
         ))
         est_F = index_from_F(measure)
-        children.append(index_report(est_F, rho))
-        children.append(asymptotic_ratio(measure, rho, cfg.t_grid,
-                                         cfg.window_decades, cfg.ratio_tol, cfg.band))
+        children.append(index_report(est_F, index))
+        children.append(asymptotic_ratio(measure, index, t_grid, window_decades, ratio_tol,
+                                         band))
         children.append(slow_variation_diagnostic(
-            measure, rho, cfg.t_grid, cfg.ratio_points, cfg.sv_tol,
-            cfg.window_decades, cfg.band,
+            measure, index, t_grid, ratio_points, sv_tol, window_decades, band,
         ))
-        headline = {"rho": rho, "rho_transform": est.index, "rho_distribution": est_F.index}
+        headline = {"rho": index, "rho_transform": est.index, "rho_distribution": est_F.index}
     else:
         est_F = index_from_F(measure)
-        rho = cfg.rho if cfg.rho is not None else est_F.index
-        children.append(index_report(est_F, cfg.rho))
-        xi = measure.integrated_tail(cfg.integrated_tail_start)
+        index = rho if rho is not None else est_F.index
+        children.append(index_report(est_F, rho))
+        xi = measure.integrated_tail(integrated_tail_start)
         nonneg = certified_nonnegative(xi)
         children.append(VerdictReport(
             check="integrated_tail_nonnegative",
             status="pass" if nonneg else "fail",
-            statistics={"start": cfg.integrated_tail_start},
+            statistics={"start": integrated_tail_start},
             notes=(
                 "integrated-tail density certified nonnegative"
                 if nonneg else
@@ -581,12 +570,12 @@ def karamata_pipeline(
             ),
         ))
         est_xi = index_from_F(xi)
-        children.append(index_report(est_xi, rho + 1.0, check="rv_index_integrated_tail"))
-        children.append(asymptotic_ratio(measure, rho, cfg.t_grid,
-                                         cfg.window_decades, cfg.ratio_tol, cfg.band))
-        est_psi = rv_index_from_transform(measure, cfg.ratio_points, cfg.tau_grid)
-        children.append(index_report(est_psi, rho))
-        headline = {"rho": rho, "rho_distribution": est_F.index,
+        children.append(index_report(est_xi, index + 1.0, check="rv_index_integrated_tail"))
+        children.append(asymptotic_ratio(measure, index, t_grid, window_decades, ratio_tol,
+                                         band))
+        est_psi = rv_index_from_transform(measure, ratio_points, tau_grid)
+        children.append(index_report(est_psi, index))
+        headline = {"rho": index, "rho_distribution": est_F.index,
                     "rho_integrated_tail": est_xi.index, "rho_transform": est_psi.index}
     return VerdictReport(
         check=f"karamata_{direction}",

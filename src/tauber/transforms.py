@@ -136,7 +136,11 @@ def _power_geom_sum(j: int, q: float, one_minus_q: float) -> float:
 
 
 def _periodic_abs_integral(pt: PeriodicTail, lam: float) -> float:
-    """integral over [lo, inf) of x^K exp(-(A+lam) x) |g(x)| dx, exact."""
+    """integral over [lo, inf) of x^K exp(-(A+lam) x) |g(x)| dx, exact.
+
+    Raises DivergentTransform when the series overflows a float: never
+    +inf, which `abs_transform` reads as divergence.
+    """
     sigma = pt.decay + lam  # > 0: _abs_segment has returned inf otherwise
     # One-period moments I_j = integral y^{K-j} e^{-sigma y} |g(y)| dy
     # over [lo, lo+P), split along the sign runs of g.
@@ -149,13 +153,19 @@ def _periodic_abs_integral(pt: PeriodicTail, lam: float) -> float:
     q = math.exp(-sigma * pt.period)
     one_minus_q = -math.expm1(-sigma * pt.period)
     total = 0.0
-    for j in range(pt.power + 1):
-        total += (
-            math.comb(pt.power, j)
-            * pt.period ** j
-            * moments[j]
-            * _power_geom_sum(j, q, one_minus_q)
-        )
+    try:
+        for j in range(pt.power + 1):
+            total += (
+                math.comb(pt.power, j)
+                * pt.period ** j
+                * moments[j]
+                * _power_geom_sum(j, q, one_minus_q)
+            )
+    except (OverflowError, ZeroDivisionError):  # a power left the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise DivergentTransform(
+            f"periodic tail integral at lam = {lam} (period {pt.period}) overflows a float")
     return total
 
 
@@ -218,9 +228,11 @@ def abs_transform(measure: SignedMeasure, lam: float) -> TransformValue:
     Exact whenever each segment admits sign-run isolation or a periodic
     tail structure; otherwise exact on the sign runs of a window [lo, T]
     with half the envelope bound on the tail beyond T as the error bound.
-    Returns +inf (exactly) when |mu|'s transform diverges.  Raises
-    SignChangeIsolationFailure when the sign runs of a bounded segment or
-    of a window cannot be isolated, or no T below 1e9 bounds the tail.
+    Returns +inf (exactly) when |mu|'s transform diverges, and raises
+    DivergentTransform when a finite periodic tail overflows a float.
+    Raises SignChangeIsolationFailure when the sign runs of a bounded
+    segment or of a window cannot be isolated, or no T below 1e9 bounds
+    the tail.
     Each segment's part is computed once per segment object and lam.
     """
     lam = _lam(lam)

@@ -337,7 +337,7 @@ def test_distribution_convergence_mollified_off_support():
 
 def test_distribution_convergence_respects_exclusions():
     rep = distribution_convergence_test(
-        mollified_seq(), (0.5, 1.0, 2.0), tol=1e-9, exclude=(1.0,))
+        mollified_seq(), (0.5, 1.0, 2.0), tol=1e-9, use_exceptional=True)
     assert rep.status == "pass"
     assert any("grid a.e." in note for note in rep.notes)
 

@@ -29,7 +29,7 @@ from tauber import (
     total_variation,
 )
 from tauber import decomposition, transforms
-from tauber.decomposition import ARRAY_BISECT_MIN, _bisect_root, _bisect_roots
+from tauber.decomposition import ARRAY_BISECT_MIN, BISECT_TOL, _bisect_root, _bisect_roots
 from tests.conftest import N_PROPERTY_CASES, random_measure
 
 PI = math.pi
@@ -162,12 +162,9 @@ class ScriptedLine:
         return Expression((Term(1.0),))
 
 
-NUDGED = 0.75 + 0.25 * (1.0 - 0.5) * 1e-3  # first midpoint of (0.5, 1), nudged
-
-
 @pytest.mark.parametrize("line", [
-    ScriptedLine(0.8, zeros=[0.75]),  # exact zero, nudge resolves it
-    ScriptedLine(0.8, zeros=[0.75, NUDGED]),  # double zero: the midpoint is the root
+    ScriptedLine(0.8, zeros=[0.75]),  # exact zero at the first midpoint of (0.5, 1)
+    ScriptedLine(0.8, zeros=[0.75, 0.750125]),  # and at a point just right of it
     ScriptedLine(0.625 + 1e-13, flipped=[0.625]),  # signs disagree near the root
 ], ids=["zero", "double-zero", "flipped-sign"])
 def test_batched_bisection_takes_the_scalar_branches(line):
@@ -176,7 +173,9 @@ def test_batched_bisection_takes_the_scalar_branches(line):
     fa = np.array([line.evaluate(x) for x in a])
     assert_batched_equals_scalar(line, a, b, fa)
     if len(line.zeros) == 2:
-        assert _bisect_roots(line, a[:1], b[:1], fa[:1]).tolist() == [0.75]
+        # a zero midpoint counts as non-positive: bisection goes on to the crossing
+        root, = _bisect_roots(line, a[:1], b[:1], fa[:1]).tolist()
+        assert abs(root - 0.8) <= BISECT_TOL
 
 
 def test_sign_runs_agree_on_both_sides_of_the_bracket_constant(monkeypatch, rng):

@@ -220,6 +220,13 @@ def test_scaled_pushforward_masses():
     assert sd.interval(0.25, 1.0) == pytest.approx(d.interval(1.0, 4.0) / 1.5)
 
 
+def test_scaled_raises_typed_error_on_coefficient_overflow():
+    # the density x^6 on [0, 1] rescaled by 1e300 needs a coefficient 1e2100
+    m = SignedMeasure.from_density([Term(1.0, 6.0)], 0, 1)
+    with pytest.raises(UnrepresentableDensity, match="overflows"):
+        m.scaled(1e300, 1.0)
+
+
 def test_restricted_drops_everything_above_cutoff():
     density = (Term(1.0, 0.0, 0.5),)
     m = (SignedMeasure.point_mass(1.0) + SignedMeasure.point_mass(3.0)

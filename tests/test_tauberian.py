@@ -7,7 +7,6 @@ import math
 import pytest
 
 from tauber import (
-    KaramataConfig,
     SignChangeNearInfinity,
     SignChangeNearZero,
     SignedMeasure,
@@ -271,8 +270,7 @@ def test_grid_checks_refuse_an_empty_or_nonpositive_grid(check, bad):
 
 @pytest.mark.parametrize("rho", [0.5, 3.7])
 def test_pipeline_forward_gamma_measures(rho):
-    rep = karamata_pipeline(power_measure(rho), "psi_to_F",
-                            KaramataConfig(rho=rho))
+    rep = karamata_pipeline(power_measure(rho), "psi_to_F", rho=rho)
     assert rep.status == "pass"
     assert rep.statistics["rho_transform"] == pytest.approx(rho, abs=1e-6)
     names = [c.check for c in rep.children]
@@ -286,20 +284,18 @@ def test_pipeline_forward_gamma_measures(rho):
 
 def test_pipeline_forward_lebesgue():
     leb = SignedMeasure.from_density((Term(1.0, 0.0),))
-    rep = karamata_pipeline(leb, "psi_to_F", KaramataConfig(rho=1.0))
+    rep = karamata_pipeline(leb, "psi_to_F", rho=1.0)
     assert rep.status == "pass"
 
 
 def test_pipeline_forward_worked_measure():
-    rep = karamata_pipeline(worked_oscillatory_measure(), "psi_to_F",
-                            KaramataConfig(rho=2.0))
+    rep = karamata_pipeline(worked_oscillatory_measure(), "psi_to_F", rho=2.0)
     assert rep.status == "pass"
     assert rep.statistics["rho_distribution"] == pytest.approx(2.0, abs=0.01)
 
 
 def test_pipeline_backward_worked_measure():
-    rep = karamata_pipeline(worked_oscillatory_measure(), "F_to_psi",
-                            KaramataConfig(rho=2.0))
+    rep = karamata_pipeline(worked_oscillatory_measure(), "F_to_psi", rho=2.0)
     assert rep.status == "pass"
     assert rep.statistics["rho_integrated_tail"] == pytest.approx(3.0, abs=0.05)
     names = [c.check for c in rep.children]
@@ -311,7 +307,7 @@ def test_pipeline_backward_worked_measure():
 
 def test_pipeline_backward_lebesgue():
     leb = SignedMeasure.from_density((Term(1.0, 0.0),))
-    rep = karamata_pipeline(leb, "F_to_psi", KaramataConfig(rho=1.0))
+    rep = karamata_pipeline(leb, "F_to_psi", rho=1.0)
     assert rep.status == "pass"
 
 
@@ -321,7 +317,6 @@ def test_pipeline_rejects_unknown_direction():
 
 
 def test_pipeline_catches_declared_index_mismatch():
-    rep = karamata_pipeline(power_measure(2.0), "psi_to_F",
-                            KaramataConfig(rho=1.0))
+    rep = karamata_pipeline(power_measure(2.0), "psi_to_F", rho=1.0)
     assert rep.status == "fail"
     assert rep.child("rv_index_transform").status == "fail"

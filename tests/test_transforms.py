@@ -173,6 +173,20 @@ def test_abs_transform_periodic_tier_frozen_oracle():
         assert got.error_bound <= 1e-12 * want
 
 
+def test_abs_transform_periodic_tier_near_the_float_range():
+    # 1e-10 x |sin(2 pi x)| e^(-lam x): the mean of |sin| is 2/pi, so the
+    # transform is (2/pi) 1e-10 / lam^2 to rounding; its series's
+    # (1 - q)^2 is subnormal here, yet the value fits and is returned
+    m = SignedMeasure.from_density([Term(1e-10, 1.0, 0.0, "sin", 2.0 * math.pi)])
+    lam = 8e-155
+    assert abs_transform(m, lam).value == pytest.approx(2e-10 / math.pi / lam**2, rel=1e-12)
+    # at 1e-300 the series's (1 - q)^3 underflows to 0: the value, about
+    # 1e900, overflows, which is DivergentTransform, never +inf
+    m = SignedMeasure.from_density([Term(1.0, 2.0, 0.0, "sin", 1e-9)], 1e6)
+    with pytest.raises(DivergentTransform, match="overflows"):
+        abs_transform(m, 1e-300)
+
+
 def incommensurable_density(rng):
     """2 or 3 oscillatory terms with one decay, powers 0 or 1 and random
     frequencies: no tail certificate and no period, so `abs_transform`
