@@ -246,8 +246,9 @@ class Expression:
         numpy is imported here, on the first call, so that importing the
         package does not load it.  The terms are summed in order, not
         with `math.fsum`, so a value can differ from `evaluate`'s in the
-        last bits; a caller that decides a sign near zero re-checks it
-        with `evaluate` (`decomposition._guarded_values`).
+        last bits.  The sign-run sampler re-checks a sign near zero with
+        `evaluate` (`decomposition._guarded_values`); the batched root
+        finder takes the signs of these values as they are.
         """
         import numpy as np
 
@@ -256,26 +257,29 @@ class Expression:
         # terms are sorted by power, so a negative power shows first
         singular = self.terms[0].power < 0 if self.terms else False
         at_zero = xs == 0.0 if singular else None
-        for t in self.terms:
-            # same operations in the same order as Term.value, minus the
-            # factors that are exactly 1.0 (power 0, decay 0)
-            part = t.coefficient
-            if t.power > 0:
-                part = part * xs ** t.power
-            elif t.power < 0:
-                # x^p is singular at 0, whose value is set after the sum;
-                # power only the nonzero points so numpy raises no
-                # divide-by-zero warning
-                mono = np.zeros_like(xs)
-                mono[~at_zero] = xs[~at_zero] ** t.power
-                part = part * mono
-            if t.decay:
-                part = part * np.exp(-t.decay * xs)
-            if t.kind == "cos":
-                part = part * np.cos(t.freq * xs)
-            elif t.kind == "sin":
-                part = part * np.sin(t.freq * xs)
-            out += part
+        # a value past the float range comes out inf or nan, with no
+        # warning; the sampler re-checks such values with `evaluate`
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in self.terms:
+                # same operations in the same order as Term.value, minus the
+                # factors that are exactly 1.0 (power 0, decay 0)
+                part = t.coefficient
+                if t.power > 0:
+                    part = part * xs ** t.power
+                elif t.power < 0:
+                    # x^p is singular at 0, whose value is set after the sum;
+                    # power only the nonzero points so numpy raises no
+                    # divide-by-zero warning
+                    mono = np.zeros_like(xs)
+                    mono[~at_zero] = xs[~at_zero] ** t.power
+                    part = part * mono
+                if t.decay:
+                    part = part * np.exp(-t.decay * xs)
+                if t.kind == "cos":
+                    part = part * np.cos(t.freq * xs)
+                elif t.kind == "sin":
+                    part = part * np.sin(t.freq * xs)
+                out += part
         if singular and at_zero.any():
             out[at_zero] = self._value_at_zero()
         return out
@@ -528,26 +532,40 @@ class SignedMeasure:
         return SignedMeasure(atoms, segments)
 
     def scaled(self, t: float, c: float) -> "SignedMeasure":
-        """Measure nu with nu((u, v]) = self((t*u, t*v]) / c."""
+        """Measure nu with nu((u, v]) = self((t*u, t*v]) / c.
+
+        Raises UnrepresentableDensity when a rescaled location, weight,
+        segment end or term field leaves the float range.
+        """
         t = _require_finite("scale factor", t)
         c = _require_finite("normaliser", c)
         if t <= 0:
             raise ValueError(f"scale factor must be > 0, got {t}")
         if c == 0:
             raise ValueError("normaliser must be nonzero")
-        atoms = tuple(Atom(a.location / t, a.weight / c) for a in self.atoms)
-        try:
-            segments = tuple(
-                DensitySegment(s.lo / t, s.hi / t, s.density._rewritten(
-                    coefficient=lambda tm: tm.coefficient * t ** (tm.power + 1) / c,
-                    decay=lambda tm: tm.decay * t,
-                    freq=lambda tm: tm.freq * t,
-                ))
-                for s in self.segments
+
+        def fits(value: float, field: str) -> float:
+            if math.isinf(value):
+                raise UnrepresentableDensity(f"scaling by {t} and {c} overflows {field}")
+            return value
+
+        def rescaled(s: DensitySegment) -> DensitySegment:
+            density = s.density._rewritten(
+                coefficient=lambda tm: fits(tm.coefficient * t ** (tm.power + 1) / c,
+                                            "a coefficient"),
+                decay=lambda tm: fits(tm.decay * t, "a decay"),
+                freq=lambda tm: fits(tm.freq * t, "a frequency"),
             )
-        except OverflowError as exc:  # t ** (power + 1) past the float range
+            hi = s.hi if s.unbounded else fits(s.hi / t, "a segment end")
+            return DensitySegment(fits(s.lo / t, "a segment end"), hi, density)
+
+        atoms = tuple(Atom(fits(a.location / t, "an atom location"),
+                           fits(a.weight / c, "an atom weight")) for a in self.atoms)
+        try:
+            segments = tuple(map(rescaled, self.segments))
+        except OverflowError:  # t ** (power + 1) past the float range
             raise UnrepresentableDensity(
-                f"scaling by {t} overflows a coefficient: {exc}") from None
+                f"scaling by {t} and {c} overflows a coefficient") from None
         return SignedMeasure(atoms, segments)
 
     def integrated_tail(self, start: float) -> "SignedMeasure":
@@ -555,7 +573,8 @@ class SignedMeasure:
 
         The distribution function is expanded piecewise in the term grammar
         (atoms past `start` contribute step constants).  Raises
-        UnrepresentableDensity when an antiderivative leaves the grammar.
+        UnrepresentableDensity when an antiderivative leaves the grammar,
+        or its value at a break leaves the float range.
         """
         start = _require_finite("integrated-tail start", start)
         if start <= 0:
@@ -572,7 +591,13 @@ class SignedMeasure:
         for lo, hi in zip(edges, edges[1:]):
             active = [s for s in self.segments if s.lo <= lo and hi <= s.hi]
             antis = [s.density.antiderivative() for s in active]
-            const = self.distribution(lo) - math.fsum(a.evaluate(lo) for a in antis)
+            try:
+                const = self.distribution(lo) - math.fsum(a.evaluate(lo) for a in antis)
+            except OverflowError:  # x ** power past the float range at lo
+                const = math.inf
+            if not math.isfinite(const):
+                raise UnrepresentableDensity(
+                    f"the distribution function at {lo} leaves the float range")
             terms: list[Term] = [t for a in antis for t in a.terms]
             if const != 0.0:
                 terms.append(Term(const))

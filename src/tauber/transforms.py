@@ -218,8 +218,15 @@ def _abs_segment(seg: DensitySegment, lam: float) -> tuple[float, float]:
 
 
 def _abs_runs(density: Expression, runs: Iterable[SignRun], lam: float) -> float:
-    """integral of |density| * exp(-lam x) over `runs`, sign runs of density."""
-    return math.fsum(r.sign * density.integral(r.lo, r.hi, extra_decay=lam) for r in runs)
+    """integral of |density| * exp(-lam x) over `runs`, sign runs of density;
+    DivergentTransform when it overflows a float."""
+    try:
+        total = math.fsum(r.sign * density.integral(r.lo, r.hi, extra_decay=lam) for r in runs)
+    except OverflowError:  # the run integrals sum past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise DivergentTransform(f"total-variation integral at lam = {lam} overflows a float")
+    return total
 
 
 def abs_transform(measure: SignedMeasure, lam: float) -> TransformValue:
@@ -229,7 +236,8 @@ def abs_transform(measure: SignedMeasure, lam: float) -> TransformValue:
     tail structure; otherwise exact on the sign runs of a window [lo, T]
     with half the envelope bound on the tail beyond T as the error bound.
     Returns +inf (exactly) when |mu|'s transform diverges, and raises
-    DivergentTransform when a finite periodic tail overflows a float.
+    DivergentTransform when a finite periodic tail or sum of run
+    integrals overflows a float.
     Raises SignChangeIsolationFailure when the sign runs of a bounded
     segment or of a window cannot be isolated, or no T below 1e9 bounds
     the tail.

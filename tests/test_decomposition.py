@@ -24,12 +24,13 @@ from tauber import (
     jordan,
     load_scenario,
     periodic_tail_structure,
+    rescaled_family,
     run_scenario,
     sign_runs,
     total_variation,
 )
 from tauber import decomposition, transforms
-from tauber.decomposition import ARRAY_BISECT_MIN, BISECT_TOL, _bisect_root, _bisect_roots
+from tauber.decomposition import ARRAY_BISECT_MIN, _root, _roots
 from tests.conftest import N_PROPERTY_CASES, random_measure
 
 PI = math.pi
@@ -74,7 +75,7 @@ def test_sign_runs_tangency_does_not_flip():
 
 
 # ---------------------------------------------------------------------------
-# batched bisection against the scalar reference
+# the root finders: adjacent floats, a few ulps from the closed form
 # ---------------------------------------------------------------------------
 
 def cosine_density(c_ratio, amp, freq, phase):
@@ -87,16 +88,29 @@ def cosine_density(c_ratio, amp, freq, phase):
 
 
 def grid_brackets(expr, lo, hi, cells):
-    """Sign-change brackets (a, b, f(a)) of expr on a uniform grid."""
+    """Sign-change brackets (a, b, f(a)) of expr on a uniform grid, with
+    the signs `evaluate` gives, as the samplers take them."""
     xs = np.linspace(lo, hi, cells + 1)
-    vals = expr.evaluate_array(xs)
-    i = np.flatnonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))
+    vals = np.array([expr.evaluate(x) for x in xs.tolist()])
+    i = np.flatnonzero((vals[1:] > 0) != (vals[:-1] > 0))
     return xs[i], xs[i + 1], vals[i]
 
 
-def assert_batched_equals_scalar(expr, a, b, fa):
-    want = [_bisect_root(expr, float(u), float(v), float(f)) for u, v, f in zip(a, b, fa)]
-    assert _bisect_roots(expr, a, b, fa).tolist() == want
+def finder_roots(expr, a, b, fa):
+    """The roots `_root` and `_roots` place in each bracket, after checking
+    that each finder ends on adjacent floats across which its own
+    evaluator changes sign (an exact zero counting as non-positive)."""
+    scalar = [_root(expr, float(u), float(v)) for u, v in zip(a, b)]
+    batched = _roots(expr, a, b, fa).tolist()
+    for roots, evaluate in ((scalar, expr.evaluate),
+                            (batched, lambda x: float(expr.evaluate_array(np.array([x]))[0]))):
+        for u, v, f, root in zip(a.tolist(), b.tolist(), fa.tolist(), roots):
+            below = math.nextafter(root, -math.inf)
+            assert u <= below < root <= v
+            # an end the finder never moved keeps the sign the bracket gave it
+            assert ((f if below == u else evaluate(below)) > 0) == (f > 0)
+            assert (evaluate(root) > 0) != (f > 0) or root == v
+    return scalar, batched
 
 
 @given(
@@ -108,14 +122,77 @@ def assert_batched_equals_scalar(expr, a, b, fa):
     count=st.one_of(st.integers(1, 40), st.integers(500, 600)),
 )
 @settings(max_examples=60, deadline=None)
-def test_batched_bisection_is_bitwise_scalar_on_cosines(c_ratio, amp, freq, phase, lo, count):
+def test_root_finders_land_next_to_closed_form_cosine_roots(c_ratio, amp, freq, phase, lo, count):
+    import mpmath as mp
+
     # two roots per period, at least 0.14 periods apart: 16 cells per
     # period bracket each one
     expr = cosine_density(c_ratio, amp, freq, phase)
     periods = count // 2 + 2
     a, b, fa = grid_brackets(expr, lo, lo + periods * 2 * PI / freq, 16 * periods)
     assert len(a) >= count
-    assert_batched_equals_scalar(expr, a[:count], b[:count], fa[:count])
+    a, b, fa = a[:count], b[:count], fa[:count]
+    scalar, batched = finder_roots(expr, a, b, fa)
+    # the closed-form roots of the density as its three float coefficients
+    # give it: c + R cos(b x + psi) = 0 at b x + psi = +-t0 + 2 pi k
+    c, p, q = c_ratio * amp, amp * math.cos(phase), -amp * math.sin(phase)
+    with mp.workdps(40):
+        r, psi = mp.hypot(p, q), mp.atan2(-q, p)
+        t0 = mp.acos(-c / r)
+        exact = sorted(x for k in range(int(lo * freq / (2 * PI)) - 2,
+                                        int(lo * freq / (2 * PI)) + periods + 3)
+                       for s in (t0, -t0) if lo < (x := float((s - psi + 2 * mp.pi * k) / freq)))
+        slope = float(freq * r * mp.sin(t0))
+    # The bound: 4 ulps of the root (one for the finder's right end, up to
+    # one for the rounding of the argument freq * x, half for rounding the
+    # exact root to a float, and a margin), plus an error of 4 eps (|c| + R)
+    # in the density's value, over its slope at the root
+    eps = 2.0 ** -52
+    for got in (scalar, batched):
+        for root in got:
+            want = min(exact, key=lambda x: abs(x - root))
+            assert abs(root - want) <= 4 * math.ulp(want) + 4 * eps * (abs(c) + float(r)) / slope
+
+
+def period_total_variation(c, amp, freq):
+    """The integral of |c + amp cos(freq x + phase)| over one period."""
+    t0 = math.acos(-c / amp)
+    return (4 * c * t0 + 4 * amp * math.sin(t0) - 2 * PI * c) / freq
+
+
+@given(
+    c_ratio=st.floats(-0.9, 0.9),
+    amp=st.floats(0.1, 10.0),
+    freq=st.floats(0.05, 1e8),
+    phase=st.floats(0.0, 2 * PI),
+    periods=st.integers(1, 1000),
+)
+@settings(max_examples=60, deadline=None)
+@example(c_ratio=0.5, amp=2.0, freq=1e8, phase=0.0, periods=1000)
+def test_total_variation_over_whole_cosine_periods(c_ratio, amp, freq, phase, periods):
+    m = SignedMeasure(segments=(DensitySegment(
+        0.0, periods * 2 * PI / freq, cosine_density(c_ratio, amp, freq, phase)),))
+    tv = abs_transform(m, 0.0)
+    assert tv.error_bound == 0.0
+    want = period_total_variation(c_ratio * amp, amp, freq)
+    assert tv.value / periods == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_total_variation_at_frequency_1e8_to_1e_15():
+    # 1 + 2 cos(1e8 x) over 1000 whole periods, against the closed form
+    m = SignedMeasure.from_density((Term(1.0), Term(2.0, 0.0, 0.0, "cos", 1e8)),
+                                   lo=0.0, hi=1000 * 2 * PI / 1e8)
+    tv = abs_transform(m, 0.0)
+    assert tv.error_bound == 0.0
+    want = 1000 * period_total_variation(1.0, 2.0, 1e8)
+    assert tv.value == pytest.approx(want, rel=1e-15, abs=0.0)
+    # the rescaled family of x (1/2 + cos x) at n = 1e8, as the index sweep
+    # of the oscillatory scenario builds it, against an mpmath periodic
+    # sum over one period (40 digits, roots acos(-C1/C2) in closed form)
+    worked = SignedMeasure.from_density((Term(0.5, 1.0), Term(1.0, 1.0, 0.0, "cos", 1.0)))
+    tv = abs_transform(rescaled_family(worked, rho=2.0).measure(10**8), 0.25)
+    assert tv.error_bound == 0.0
+    assert tv.value == pytest.approx(22.975857986830689, rel=1e-15, abs=0.0)
 
 
 term_strategy = st.builds(
@@ -135,10 +212,9 @@ term_strategy = st.builds(
     width=st.floats(1.0, 200.0),
 )
 @settings(max_examples=60, deadline=None)
-def test_batched_bisection_is_bitwise_scalar_on_term_mixes(osc, plain, lo, width):
+def test_root_finders_end_on_adjacent_floats_on_term_mixes(osc, plain, lo, width):
     expr = Expression((Term(plain, 1.0),) + tuple(osc))
-    a, b, fa = grid_brackets(expr, lo, lo + width, 8000)
-    assert_batched_equals_scalar(expr, a, b, fa)
+    finder_roots(expr, *grid_brackets(expr, lo, lo + width, 8000))
 
 
 class ScriptedLine:
@@ -162,20 +238,22 @@ class ScriptedLine:
         return Expression((Term(1.0),))
 
 
-@pytest.mark.parametrize("line", [
-    ScriptedLine(0.8, zeros=[0.75]),  # exact zero at the first midpoint of (0.5, 1)
-    ScriptedLine(0.8, zeros=[0.75, 0.750125]),  # and at a point just right of it
-    ScriptedLine(0.625 + 1e-13, flipped=[0.625]),  # signs disagree near the root
+@pytest.mark.parametrize("line, scalar_root, batched_root", [
+    # an exact zero at the first midpoint of (0.5, 1), and at a point just
+    # right of it, counts as non-positive: each finder goes on to the
+    # crossing, where x - 0.8 turns positive one float past 0.8
+    (ScriptedLine(0.8, zeros=[0.75]), math.nextafter(0.8, 1.0), math.nextafter(0.8, 1.0)),
+    (ScriptedLine(0.8, zeros=[0.75, 0.750125]), math.nextafter(0.8, 1.0),
+     math.nextafter(0.8, 1.0)),
+    # the array sum says + where `evaluate` says - at 0.625, 1e-13 below
+    # the root: bisection takes its own evaluator's sign and stops there
+    (ScriptedLine(0.625 + 1e-13, flipped=[0.625]), math.nextafter(0.625 + 1e-13, 1.0), 0.625),
 ], ids=["zero", "double-zero", "flipped-sign"])
-def test_batched_bisection_takes_the_scalar_branches(line):
-    a = np.array([0.5, 0.6, 0.1, 0.5])
-    b = np.array([1.0, 0.9, 0.9, 1.0])
+def test_each_root_finder_follows_its_own_evaluator(line, scalar_root, batched_root):
+    a = np.array([0.5, 0.5])
+    b = np.array([1.0, 1.0])
     fa = np.array([line.evaluate(x) for x in a])
-    assert_batched_equals_scalar(line, a, b, fa)
-    if len(line.zeros) == 2:
-        # a zero midpoint counts as non-positive: bisection goes on to the crossing
-        root, = _bisect_roots(line, a[:1], b[:1], fa[:1]).tolist()
-        assert abs(root - 0.8) <= BISECT_TOL
+    assert finder_roots(line, a, b, fa) == ([scalar_root] * 2, [batched_root] * 2)
 
 
 def test_sign_runs_agree_on_both_sides_of_the_bracket_constant(monkeypatch, rng):
@@ -187,14 +265,20 @@ def test_sign_runs_agree_on_both_sides_of_the_bracket_constant(monkeypatch, rng)
     segments += [s for _ in range(20) for s in random_measure(rng).segments]
     for seg in segments:
         # a fresh, equal segment on each side: sign runs are memoised per
-        # segment object, and both sides must really bisect
+        # segment object, and both sides must really isolate
         monkeypatch.setattr(decomposition, "ARRAY_BISECT_MIN", 1)
         try:
             batched = sign_runs(DensitySegment(seg.lo, seg.hi, seg.density))
         except SignChangeIsolationFailure:
             continue
         monkeypatch.setattr(decomposition, "ARRAY_BISECT_MIN", 10**9)
-        assert sign_runs(DensitySegment(seg.lo, seg.hi, seg.density)) == batched
+        scalar = sign_runs(DensitySegment(seg.lo, seg.hi, seg.density))
+        # the same runs; each finder places a cut on the adjacent floats
+        # its own evaluator puts around the crossing, so cuts may differ
+        # where `evaluate` and `evaluate_array` round apart
+        assert [r.sign for r in scalar] == [r.sign for r in batched]
+        for s, t in zip(scalar[1:], batched[1:]):
+            assert abs(s.lo - t.lo) <= 4 * math.ulp(t.lo)
 
 
 # ---------------------------------------------------------------------------

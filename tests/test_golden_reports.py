@@ -34,6 +34,7 @@ import pytest
 from tauber import (
     TransformValue,
     convergence,
+    decomposition,
     emit,
     load_scenario,
     measures,
@@ -280,6 +281,49 @@ def test_rewritten_fit_numbers_moved_toward_exact_fits(name, monkeypatch):
     for key, old in NUMPY_FIT_NUMBERS[name].items():
         new, exact = Fraction(golden[key]), Fraction(reference[key])
         assert new != old and abs(new - exact) <= abs(Fraction(old) - exact), key
+
+
+# The numbers the root finders moved when they stopped bisecting at a
+# width of 1e-12 max(1, |a|) and began to place each root on adjacent
+# floats, with their earlier values, by golden file and JSON path.
+BISECTED_ROOT_NUMBERS = json.loads((ROOT / "tests" / "bisected_root_numbers.json").read_text())
+
+
+def mpmath_root(expr, a: float, b: float) -> float:
+    """The crossing of expr in the bracket (a, b), found in mpmath at 40
+    digits and rounded to the nearest float."""
+    import mpmath as mp
+
+    def value(x):
+        return mp.fsum(t.coefficient * x ** t.power * mp.exp(-t.decay * x)
+                       * {"cos": mp.cos, "sin": mp.sin, "": lambda _: 1}[t.kind](t.freq * x)
+                       for t in expr.terms)
+
+    with mp.workdps(40):
+        return float(mp.findroot(value, (mp.mpf(a), mp.mpf(b)), solver="anderson"))
+
+
+@pytest.mark.parametrize("name", sorted(BISECTED_ROOT_NUMBERS))
+def test_rewritten_root_numbers_moved_toward_exact_roots(name, monkeypatch):
+    # the report whose sign runs are cut at `mpmath_root` is the reference:
+    # the same statuses and every other non-float leaf, and each number the
+    # rewrite moved is within 1e-12 relative of its old value or closer to it
+    import numpy as np
+
+    _, source, overrides = golden_runs()[name]
+    monkeypatch.setattr(decomposition, "_root", mpmath_root)
+    monkeypatch.setattr(decomposition, "_roots", lambda expr, a, b, fa: np.array(
+        [mpmath_root(expr, u, v) for u, v in zip(a.tolist(), b.tolist())]))
+    golden = leaves(json.loads((GOLDEN / name).read_text()))
+    reference = leaves(json.loads(run_scenario(load_scenario(source), **overrides).to_json()))
+    assert golden.keys() == reference.keys()
+    for key, value in golden.items():
+        if not isinstance(value, float):
+            assert value == reference[key], key
+    for key, old in BISECTED_ROOT_NUMBERS[name].items():
+        new, exact = golden[key], reference[key]
+        assert new != old, key
+        assert abs(new - old) <= 1e-12 * abs(old) or abs(new - exact) < abs(old - exact), key
 
 
 if __name__ == "__main__":

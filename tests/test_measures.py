@@ -227,6 +227,22 @@ def test_scaled_raises_typed_error_on_coefficient_overflow():
         m.scaled(1e300, 1.0)
 
 
+@pytest.mark.parametrize("m, t, c, field", [
+    (SignedMeasure.from_density([Term(1.0, 0.0)], 0, 1), 1e300, 1e-300, "coefficient"),
+    (SignedMeasure.from_density([Term(1.0, 0.0), Term(1.0, 0.0, 0.0, "cos", 1e10)], 0, 1),
+     1e300, 1.0, "frequency"),
+    (SignedMeasure.from_density([Term(1.0, 0.0, 1e10)], 0, 1), 1e300, 1.0, "decay"),
+    (SignedMeasure.from_density([Term(1.0)], 0, 1e10), 1e-300, 1.0, "segment end"),
+    (SignedMeasure.point_mass(1e10), 1e-300, 1.0, "atom location"),
+    (SignedMeasure.point_mass(1.0, 1e10), 1.0, 1e-300, "atom weight"),
+], ids=["coefficient", "frequency", "decay", "segment-end", "atom-location", "atom-weight"])
+def test_scaled_raises_typed_error_on_every_field_overflow(m, t, c, field):
+    # each rescaled field past the float range: a product or quotient that
+    # rounds to inf, which `Term` and `Atom` would refuse as a ValueError
+    with pytest.raises(UnrepresentableDensity, match=f"overflows an? {field}"):
+        m.scaled(t, c)
+
+
 def test_restricted_drops_everything_above_cutoff():
     density = (Term(1.0, 0.0, 0.5),)
     m = (SignedMeasure.point_mass(1.0) + SignedMeasure.point_mass(3.0)
@@ -259,6 +275,14 @@ def test_integrated_tail_of_atom_is_step_density():
     assert xi.interval(2.0, 5.0) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         m.integrated_tail(0.0)
+
+
+def test_integrated_tail_raises_typed_error_past_the_float_range():
+    # the antiderivative's x^41 e^(-x/2) term at the start 1e300: x**41
+    # overflows before e^(-x/2) underflows
+    m = SignedMeasure.from_density([Term(-1.0, 40.0, 0.5), Term(-1.0, 6.0, 0.5)], 1e6)
+    with pytest.raises(UnrepresentableDensity, match="float range"):
+        m.integrated_tail(1e300)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,20 @@ def test_abs_transform_periodic_tier_near_the_float_range():
         abs_transform(m, 1e-300)
 
 
+@pytest.mark.parametrize("numpy_paths", [True, False], ids=["numpy", "scalar"])
+def test_norm_raises_typed_error_when_the_run_integrals_overflow(numpy_paths, monkeypatch):
+    # 1e300 x^5 sin x on [0, 1000]: each sign run holds about 1e315, past
+    # the float range, as are the density's values; the sampler and root
+    # finder that a process without numpy takes must give the same error
+    m = SignedMeasure.from_density([Term(1e300, 5.0, 0.0, "sin", 1.0)], 0, 1000)
+    if not numpy_paths:
+        monkeypatch.setattr(tauber.decomposition, "_array_brackets",
+                            tauber.decomposition._scalar_brackets)
+        monkeypatch.setattr(tauber.decomposition, "ARRAY_BISECT_MIN", 10**9)
+    with pytest.raises(DivergentTransform, match="overflows"):
+        m.norm()
+
+
 def incommensurable_density(rng):
     """2 or 3 oscillatory terms with one decay, powers 0 or 1 and random
     frequencies: no tail certificate and no period, so `abs_transform`
